@@ -13,9 +13,12 @@
 #include "gen/netlist_generator.h"
 #include "io/bookshelf_writer.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dreamplace;
   using namespace dreamplace::bench;
+
+  const BenchFlags flags = parseBenchFlags(argc, argv);
+  TelemetrySession session(flags);
 
   const double scale = benchScale(0.01);
   const SuiteEntry entry = findSuiteEntry("bigblue4", scale);
@@ -25,9 +28,10 @@ int main() {
 
   auto db = generateNetlist(entry.config);
 
-  PlacerOptions options;
+  PlacerOptions options = flags.flowOptions();
   options.precision = Precision::kFloat32;
   options.gp = dreamplaceFastGp();
+  session.attach(options, entry.name);
   Timer total_timer;
   RunReport report;
   const FlowResult result = placeWithReport(*db, options, report);
@@ -39,7 +43,7 @@ int main() {
   const double io = io_timer.elapsed();
   fs::remove_all(dir);
 
-  const double grand = total_timer.elapsed() + io;
+  const double grand = total_timer.elapsed();
   auto pct = [&](double v) { return 100.0 * v / grand; };
   std::printf("(a) flow breakdown\n");
   std::printf("%-22s %10s %8s\n", "phase", "seconds", "share");
@@ -71,5 +75,21 @@ int main() {
   std::printf("\npaper shape check: density share of pass = %.1f%% "
               "(paper: 73.4%%), DP share of flow = %.1f%% (paper: ~82%%)\n",
               100.0 * density / pass, pct(result.dpSeconds));
+
+  const std::string json_path = benchJsonPath(argc, argv, "BENCH_fig9.json");
+  if (!json_path.empty()) {
+    BenchJsonWriter writer("fig9_breakdown");
+    const auto n = static_cast<std::int64_t>(entry.config.numCells);
+    writer.addResult("gp", n, result.gpSeconds * 1000);
+    writer.addResult("lg", n, result.lgSeconds * 1000);
+    writer.addResult("dp", n, result.dpSeconds * 1000);
+    writer.addResult("io", n, io * 1000);
+    writer.addResult("total", n, grand * 1000);
+    if (writer.write(json_path)) {
+      std::printf("bench json written to %s\n", json_path.c_str());
+    } else {
+      std::printf("bench json: cannot write %s\n", json_path.c_str());
+    }
+  }
   return 0;
 }

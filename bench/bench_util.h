@@ -1,8 +1,8 @@
 // Shared helpers for the paper-reproduction benchmarks.
 //
 // The paper compares three implementations: multithreaded RePlAce, the
-// DREAMPlace CPU backend, and the DREAMPlace GPU backend. On this
-// single-core machine the comparison maps onto three configurations of
+// DREAMPlace CPU backend, and the DREAMPlace GPU backend. On a 4-core
+// CPU the comparison maps onto three configurations of
 // the same placer that differ exactly in the algorithmic choices the
 // paper credits for the speedup (see DESIGN.md Sec. 1):
 //
@@ -57,6 +57,8 @@ namespace dreamplace::bench {
 // Environment fallbacks: DREAMPLACE_TRACE, DREAMPLACE_TELEMETRY_JSONL,
 // DREAMPLACE_TELEMETRY_CSV, DREAMPLACE_REPORT, DREAMPLACE_REPORT_TEXT,
 // DREAMPLACE_THREADS, DREAMPLACE_LOG_LEVEL, DREAMPLACE_LOG_JSON.
+// Any other flag except --json=<file> and --benchmark_* exits with status
+// 2 and names the flag.
 // ---------------------------------------------------------------------------
 
 /// The shared bench command line, parsed once. flowOptions() turns it
@@ -118,6 +120,10 @@ inline BenchFlags parseBenchFlags(int argc, char** argv) {
         std::exit(2);
       }
       setLogLevel(level);
+    } else if (!match("--json=") && !match("--benchmark_")) {
+      // --json= is read by benchJsonPath, --benchmark_* by google-benchmark.
+      std::fprintf(stderr, "error: unknown flag '%s'\n", arg);
+      std::exit(2);
     }
   }
   return args;

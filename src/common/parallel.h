@@ -18,11 +18,6 @@
 //    thread machinery. Future backends (task graphs, SIMD tiles,
 //    distributed shards) swap in behind the same three helpers.
 //
-// OpenMP remains available as an optional build fallback
-// (-DDREAMPLACE_OPENMP_FALLBACK=ON): the claim loop then runs inside an
-// `omp parallel` region instead of pool workers. It is the only OpenMP
-// site left in the tree.
-//
 // Scheduling model: a job splits [0, n) into ceil(n/grain) blocks; the
 // caller and the pool workers claim blocks dynamically from a shared
 // atomic cursor (cheap work stealing, good load balance for skewed block

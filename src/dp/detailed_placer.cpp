@@ -8,26 +8,15 @@
 
 #include "common/counters.h"
 #include "common/log.h"
-#include "common/parallel.h"
 #include "common/timer.h"
 #include "db/metrics.h"
 #include "dp/independent_set.h"
 #include "dp/net_bbox.h"
 #include "lg/macro_legalizer.h"
 
-// Parallelization scheme (see docs/PARALLEL.md, "Parallel back-end"):
-// both DP phases are speculative propose + sequential commit. The propose
-// phase evaluates every window (reorder) or cell (swap) against a frozen
-// snapshot of positions in parallel; the commit pass then walks the same
-// items in the serial order, *stamping* every cell and net a committed
-// move touches. An item whose footprint (its cells, its incident-net
-// union, and — for reorder — the window's right span neighbour) contains
-// no stamp provably saw identical inputs in the propose phase, so its
-// precomputed result is reused; a stamped ("stale") item is re-evaluated
-// against live state. Either way each item resolves to exactly what the
-// serial loop would have computed, so results are bit-identical at any
-// thread count, including the threads==1 path that skips proposals
-// entirely.
+// Both DP phases and ISM run serially: each move is evaluated against the
+// live placement and committed at once, so every later candidate sees it
+// (see docs/PARALLEL.md, "The serial back-end").
 
 namespace dreamplace {
 
@@ -82,17 +71,11 @@ struct RowIndex {
         rows[r].push_back(i);
       }
     }
-    // Rows sort independently; each row's input sequence (push order) is
-    // thread-count-invariant, so the sorted order is too.
-    parallelForBlocked("dp/row_sort", num_rows, 8,
-                       [&](Index lo, Index hi, int) {
-                         for (Index r = lo; r < hi; ++r) {
-                           std::sort(rows[r].begin(), rows[r].end(),
-                                     [&](Index a, Index b) {
-                                       return db.cellX(a) < db.cellX(b);
-                                     });
-                         }
-                       });
+    for (auto& row : rows) {
+      std::sort(row.begin(), row.end(), [&](Index a, Index b) {
+        return db.cellX(a) < db.cellX(b);
+      });
+    }
   }
 
   Index rowOf(Coord y) const {
@@ -123,7 +106,7 @@ struct WindowEval {
 /// Evaluates one reorder window against the current database state:
 /// exhaustively permutes the w cells, packed from the span start, and
 /// records the best ordering in `s.bestPerm` (net union in `s.nets`,
-/// composition in `s.window`). Read-only; safe to run speculatively.
+/// composition in `s.window`). Read-only.
 WindowEval evaluateWindow(const Database& db, const RowIndex& rowIndex,
                           const std::vector<Index>& row, std::size_t start,
                           int w, ReorderScratch& s) {
@@ -207,17 +190,6 @@ void commitWindow(Database& db, NetBboxCache& cache, std::vector<Index>& row,
     x += db.cellWidth(c);
   }
 }
-
-struct WindowRef {
-  Index row = 0;
-  Index start = 0;
-};
-
-struct ReorderProposal {
-  WindowEval ev;
-  std::vector<Index> nets;  ///< Net union (cleanliness check + stamping).
-  std::vector<int> perm;    ///< Best permutation, when ev.improved.
-};
 
 // ---- Global swap ----------------------------------------------------------
 
@@ -358,17 +330,6 @@ void evalSwap(const Database& db, Index cell, Index other, SwapScratch& s,
   s.eval.clearOverrides();
 }
 
-struct SwapProposal {
-  bool skip = true;
-  double ox = 0;
-  Index targetRow = 0;
-  // Candidate evals recorded along the frozen-state trajectory, reused in
-  // the commit pass as a value memo keyed by the candidate cell.
-  std::vector<Index> candOther;
-  std::vector<double> candBefore;
-  std::vector<double> candAfter;
-};
-
 }  // namespace
 
 DetailedPlacerResult DetailedPlacer::run(Database& db) const {
@@ -380,38 +341,11 @@ DetailedPlacerResult DetailedPlacer::run(Database& db) const {
   DP_ASSERT_MSG(w >= 2 && w <= NetBboxEval::kMaxOverrides,
                 "windowSize must be in [2, %d]", NetBboxEval::kMaxOverrides);
 
-  const int pool_threads = currentThreadPool().threads();
-  const bool parallel_mode = pool_threads > 1;
-
   NetBboxCache cache;
   RowIndex rows;
-
-  // Per-worker scratch; worker 0's doubles as the commit-pass evaluator.
-  std::vector<ReorderScratch> rscratch;
-  std::vector<SwapScratch> sscratch;
-  rscratch.reserve(pool_threads);
-  sscratch.reserve(pool_threads);
-  for (int t = 0; t < pool_threads; ++t) {
-    rscratch.emplace_back(db, cache, w);
-    sscratch.emplace_back(db, cache);
-  }
-
+  ReorderScratch rs(db, cache, w);
+  SwapScratch ss(db, cache);
   std::int64_t reorder_windows = 0, swap_candidates = 0;
-  std::int64_t reorder_stale = 0, swap_stale = 0;
-  std::int64_t bbox_deltas = 0, bbox_rescans = 0;
-  const auto drainEval = [&](NetBboxEval& e) {
-    bbox_deltas += e.deltas;
-    bbox_rescans += e.rescans;
-    e.deltas = 0;
-    e.rescans = 0;
-  };
-
-  // Commit-pass stamps: cells moved and nets perturbed by commits so far
-  // in the current phase (parallel mode only).
-  std::vector<char> cell_stamp, net_stamp;
-  std::vector<WindowRef> window_refs;
-  std::vector<ReorderProposal> rprops;
-  std::vector<SwapProposal> sprops;
 
   double pass_start_hpwl = result.initialHpwl;
   for (int pass = 0; pass < options_.passes; ++pass) {
@@ -421,216 +355,40 @@ DetailedPlacerResult DetailedPlacer::run(Database& db) const {
     // ---- Intra-row local reordering ------------------------------------
     {
       ScopedTimer t("dp/reorder");
-      window_refs.clear();
-      for (Index r = 0; r < static_cast<Index>(rows.rows.size()); ++r) {
-        const auto& row = rows.rows[r];
-        if (static_cast<int>(row.size()) < w) {
-          continue;
-        }
+      for (std::vector<Index>& row : rows.rows) {
         for (std::size_t start = 0; start + w <= row.size(); ++start) {
-          window_refs.push_back({r, static_cast<Index>(start)});
+          const WindowEval ev = evaluateWindow(db, rows, row, start, w, rs);
+          if (!ev.evaluated) {
+            continue;
+          }
+          ++reorder_windows;
+          if (!ev.improved) {
+            continue;
+          }
+          commitWindow(db, cache, row, start, w, rs.bestPerm, ev.spanXl);
+          ++result.reorderMoves;
         }
       }
-
-      if (parallel_mode) {
-        rprops.assign(window_refs.size(), {});
-        parallelForBlocked(
-            "dp/reorder_propose", static_cast<Index>(window_refs.size()), 8,
-            [&](Index lo, Index hi, int worker) {
-              ReorderScratch& s = rscratch[worker];
-              for (Index i = lo; i < hi; ++i) {
-                const WindowRef& wr = window_refs[i];
-                ReorderProposal& p = rprops[i];
-                p.ev = evaluateWindow(db, rows, rows.rows[wr.row], wr.start,
-                                      w, s);
-                if (p.ev.evaluated) {
-                  p.nets = s.nets;
-                  if (p.ev.improved) {
-                    p.perm.assign(s.bestPerm.begin(), s.bestPerm.end());
-                  }
-                }
-              }
-            });
-        for (auto& s : rscratch) {
-          drainEval(s.eval);
-        }
-        cell_stamp.assign(db.numCells(), 0);
-        net_stamp.assign(db.numNets(), 0);
-      }
-
-      ReorderScratch& live = rscratch[0];
-      for (std::size_t i = 0; i < window_refs.size(); ++i) {
-        std::vector<Index>& row = rows.rows[window_refs[i].row];
-        const auto start = static_cast<std::size_t>(window_refs[i].start);
-        // Clean = no commit so far touched this window's cells, its right
-        // span neighbour, or any net of its union; the proposal then saw
-        // exactly the live state and its result is reused verbatim.
-        bool clean = parallel_mode;
-        if (clean) {
-          for (int k = 0; k < w && clean; ++k) {
-            clean = !cell_stamp[row[start + k]];
-          }
-          if (clean && start + w < row.size()) {
-            clean = !cell_stamp[row[start + w]];
-          }
-          if (clean && rprops[i].ev.evaluated) {
-            for (Index e : rprops[i].nets) {
-              if (net_stamp[e]) {
-                clean = false;
-                break;
-              }
-            }
-          }
-        }
-        WindowEval ev;
-        const std::vector<Index>* nets = nullptr;
-        const std::vector<int>* perm = nullptr;
-        if (clean) {
-          ev = rprops[i].ev;
-          nets = &rprops[i].nets;
-          perm = &rprops[i].perm;
-        } else {
-          if (parallel_mode) {
-            ++reorder_stale;
-          }
-          ev = evaluateWindow(db, rows, row, start, w, live);
-          nets = &live.nets;
-          perm = &live.bestPerm;
-        }
-        if (!ev.evaluated) {
-          continue;
-        }
-        ++reorder_windows;
-        if (!ev.improved) {
-          continue;
-        }
-        commitWindow(db, cache, row, start, w, *perm, ev.spanXl);
-        if (parallel_mode) {
-          for (int k = 0; k < w; ++k) {
-            cell_stamp[row[start + k]] = 1;
-          }
-          for (Index e : *nets) {
-            net_stamp[e] = 1;
-          }
-        }
-        ++result.reorderMoves;
-      }
-      drainEval(live.eval);
     }
 
     // ---- Global swap / relocation ----------------------------------------
     {
       ScopedTimer t("dp/swap");
       rows.build(db);
-
-      if (parallel_mode) {
-        sprops.assign(db.numMovable(), {});
-        parallelForBlocked(
-            "dp/swap_propose", db.numMovable(), 16,
-            [&](Index lo, Index hi, int worker) {
-              SwapScratch& s = sscratch[worker];
-              for (Index cell = lo; cell < hi; ++cell) {
-                if (isMovableMacro(db, cell)) {
-                  continue;
-                }
-                SwapProposal& p = sprops[cell];
-                const SwapRegion region =
-                    computeSwapRegion(db, rows, cell, s);
-                p.skip = region.skip;
-                p.ox = region.ox;
-                p.targetRow = region.targetRow;
-                if (region.skip) {
-                  continue;
-                }
-                enumerateSwapCandidates(
-                    db, rows, cell, region.ox, region.targetRow, options_,
-                    [&](Index other) {
-                      double before = 0, after = 0;
-                      evalSwap(db, cell, other, s, before, after);
-                      p.candOther.push_back(other);
-                      p.candBefore.push_back(before);
-                      p.candAfter.push_back(after);
-                      return after < before - 1e-9;
-                    });
-              }
-            });
-        for (auto& s : sscratch) {
-          drainEval(s.eval);
-        }
-        cell_stamp.assign(db.numCells(), 0);
-        net_stamp.assign(db.numNets(), 0);
-      }
-
-      SwapScratch& live = sscratch[0];
       for (Index cell = 0; cell < db.numMovable(); ++cell) {
         if (isMovableMacro(db, cell)) {
+          continue;  // macros are frozen after macro legalization
+        }
+        const SwapRegion region = computeSwapRegion(db, rows, cell, ss);
+        if (region.skip) {
           continue;
         }
-        // The region memo is valid when neither the cell nor any of its
-        // nets saw a commit: position, medians, and skip state are then
-        // unchanged from the propose snapshot.
-        bool memo_valid = parallel_mode && !cell_stamp[cell];
-        if (memo_valid) {
-          for (Index ps = db.cellPinBegin(cell); ps < db.cellPinEnd(cell);
-               ++ps) {
-            if (net_stamp[db.pinNet(db.cellPinAt(ps))]) {
-              memo_valid = false;
-              break;
-            }
-          }
-        }
-        bool skip;
-        double ox;
-        Index target_row;
-        if (memo_valid) {
-          skip = sprops[cell].skip;
-          ox = sprops[cell].ox;
-          target_row = sprops[cell].targetRow;
-        } else {
-          if (parallel_mode) {
-            ++swap_stale;
-          }
-          const SwapRegion region = computeSwapRegion(db, rows, cell, live);
-          skip = region.skip;
-          ox = region.ox;
-          target_row = region.targetRow;
-        }
-        if (skip) {
-          continue;
-        }
-        const SwapProposal* memo = memo_valid ? &sprops[cell] : nullptr;
         enumerateSwapCandidates(
-            db, rows, cell, ox, target_row, options_, [&](Index other) {
+            db, rows, cell, region.ox, region.targetRow, options_,
+            [&](Index other) {
               ++swap_candidates;
               double before = 0, after = 0;
-              bool hit = false;
-              if (memo != nullptr && !cell_stamp[other]) {
-                for (std::size_t j = 0; j < memo->candOther.size(); ++j) {
-                  if (memo->candOther[j] != other) {
-                    continue;
-                  }
-                  // The recorded values are live values iff every net of
-                  // the {cell, other} union is unstamped.
-                  const Index pair[2] = {cell, other};
-                  incidentNetsInto(db, pair, 2, live.nets);
-                  bool ok = true;
-                  for (Index e : live.nets) {
-                    if (net_stamp[e]) {
-                      ok = false;
-                      break;
-                    }
-                  }
-                  if (ok) {
-                    before = memo->candBefore[j];
-                    after = memo->candAfter[j];
-                    hit = true;
-                  }
-                  break;
-                }
-              }
-              if (!hit) {
-                evalSwap(db, cell, other, live, before, after);
-              }
+              evalSwap(db, cell, other, ss, before, after);
               if (!(after < before - 1e-9)) {
                 return false;
               }
@@ -649,20 +407,10 @@ DetailedPlacerResult DetailedPlacer::run(Database& db) const {
                            rows.rows[cell_row].end(), cell, other);
               std::replace(rows.rows[other_row].begin(),
                            rows.rows[other_row].end(), other, cell);
-              if (parallel_mode) {
-                cell_stamp[cell] = 1;
-                cell_stamp[other] = 1;
-                const Index pair[2] = {cell, other};
-                incidentNetsInto(db, pair, 2, live.nets);
-                for (Index e : live.nets) {
-                  net_stamp[e] = 1;
-                }
-              }
               ++result.swapMoves;
               return true;
             });
       }
-      drainEval(live.eval);
     }
 
     // ---- Independent-set matching ----------------------------------------
@@ -691,12 +439,9 @@ DetailedPlacerResult DetailedPlacer::run(Database& db) const {
   reg.add("dp/reorder_moves", result.reorderMoves);
   reg.add("dp/swap_moves", result.swapMoves);
   reg.add("dp/ism_moves", result.ismMoves);
-  reg.add("dp/bbox_delta", bbox_deltas);
-  reg.add("dp/bbox_rescan", bbox_rescans + cache.maintenanceRescans);
-  if (parallel_mode) {
-    reg.add("dp/reorder_stale", reorder_stale);
-    reg.add("dp/swap_stale", swap_stale);
-  }
+  reg.add("dp/bbox_delta", rs.eval.deltas + ss.eval.deltas);
+  reg.add("dp/bbox_rescan",
+          rs.eval.rescans + ss.eval.rescans + cache.maintenanceRescans);
 
   logInfo("dp: hpwl %.4e -> %.4e (%.2f%%), %ld reorders, %ld swaps, "
           "%ld ism moves",

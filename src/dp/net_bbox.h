@@ -83,8 +83,7 @@ class NetBboxCache {
 
 /// Candidate-move evaluator over a NetBboxCache: computes net HPWL with up
 /// to kMaxOverrides cells' positions overridden, without touching the
-/// database or the cache. Each worker of a parallel proposal phase owns
-/// one evaluator (it carries scratch and local counters).
+/// database or the cache. Carries its own scratch and local counters.
 class NetBboxEval {
  public:
   static constexpr int kMaxOverrides = 16;

@@ -2,7 +2,7 @@
 //
 // Cell/net counts are the paper's (Tables II, III, V) scaled down by a
 // configurable factor (default 1/100) so the whole evaluation fits a
-// single-core machine; the *relative* sizes across designs are preserved,
+// 4-core machine; the *relative* sizes across designs are preserved,
 // which is what the runtime-scaling claims depend on.
 #pragma once
 

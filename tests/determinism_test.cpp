@@ -4,8 +4,12 @@
 // the count-based regression gate pin flow metrics exactly.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <vector>
 
+#include "common/counters.h"
+#include "common/flow_context.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "db/metrics.h"
@@ -72,14 +76,17 @@ TEST(DeterminismTest, FlowIsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(DeterminismTest, BackendBitIdenticalAcrossThreadCounts) {
-  // LG + DP only: the parallel back-end (speculative Abacus candidate
-  // scoring, DP propose+commit reorder/swap, bbox-cache evaluation) must
-  // reproduce the serial results bit-for-bit — every final position and
-  // the HPWL compare with EXPECT_EQ, no tolerance. The same jittered
+  // LG + DP only: the serial back-end must give the same results at any
+  // pool size — every final position, the HPWL and every lg/* and dp/*
+  // work counter compare with EXPECT_EQ, no tolerance. The same jittered
   // start is rebuilt per run so each thread count legalizes identical
-  // input.
-  auto runBackend = [](int threads, std::vector<double>& xs,
-                       std::vector<double>& ys) {
+  // input, and each run counts into its own FlowContext.
+  struct Outcome {
+    double hpwl = 0;
+    std::vector<double> xs, ys;
+    std::map<std::string, CounterRegistry::Value> counters;
+  };
+  auto runBackend = [](int threads) {
     auto db = synthDesign(1234, 600);
     Rng rng(99);
     const Coord h = db->rowHeight();
@@ -88,29 +95,38 @@ TEST(DeterminismTest, BackendBitIdenticalAcrossThreadCounts) {
                           db->cellY(i) + rng.uniform(-5 * h, 5 * h));
     }
     ThreadPool::instance().setThreads(threads);
+    FlowContext context;
+    FlowContextScope scope(context);
     AbacusLegalizer().run(*db);
     DetailedPlacer::Options options;
     options.passes = 2;
     DetailedPlacer(options).run(*db);
-    xs.clear();
-    ys.clear();
+    Outcome out;
     for (Index i = 0; i < db->numCells(); ++i) {
-      xs.push_back(db->cellX(i));
-      ys.push_back(db->cellY(i));
+      out.xs.push_back(db->cellX(i));
+      out.ys.push_back(db->cellY(i));
     }
-    return hpwl(*db);
+    out.hpwl = hpwl(*db);
+    for (const auto& [key, value] : context.counters().snapshot()) {
+      if (key.rfind("lg/", 0) == 0 || key.rfind("dp/", 0) == 0) {
+        out.counters.emplace(key, value);
+      }
+    }
+    return out;
   };
-  std::vector<double> x1, y1, x, y;
-  const double hpwl1 = runBackend(1, x1, y1);
+  const Outcome t1 = runBackend(1);
+  EXPECT_GT(t1.counters.count("lg/segments_tried"), 0u);
+  EXPECT_GT(t1.counters.count("dp/bbox_delta"), 0u);
   for (const int threads : {2, 4}) {
-    const double hpwlT = runBackend(threads, x, y);
-    EXPECT_EQ(hpwl1, hpwlT) << threads << " threads";
-    ASSERT_EQ(x1.size(), x.size());
-    for (std::size_t i = 0; i < x1.size(); ++i) {
-      ASSERT_EQ(x1[i], x[i]) << "cell " << i << " x at " << threads
-                             << " threads";
-      ASSERT_EQ(y1[i], y[i]) << "cell " << i << " y at " << threads
-                             << " threads";
+    const Outcome t = runBackend(threads);
+    EXPECT_EQ(t1.hpwl, t.hpwl) << threads << " threads";
+    EXPECT_EQ(t1.counters, t.counters) << threads << " threads";
+    ASSERT_EQ(t1.xs.size(), t.xs.size());
+    for (std::size_t i = 0; i < t1.xs.size(); ++i) {
+      ASSERT_EQ(t1.xs[i], t.xs[i]) << "cell " << i << " x at " << threads
+                                   << " threads";
+      ASSERT_EQ(t1.ys[i], t.ys[i]) << "cell " << i << " y at " << threads
+                                   << " threads";
     }
   }
   ThreadPool::instance().setThreads(0);

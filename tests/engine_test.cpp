@@ -115,6 +115,8 @@ TEST(EngineTest, OrderDependentCounterFilter) {
   EXPECT_FALSE(isOrderDependentCounter("parallel/jobs"));
   EXPECT_FALSE(isOrderDependentCounter("fft/dct2d"));
   EXPECT_FALSE(isOrderDependentCounter("ops/wirelength/evaluate"));
+  // The LG/DP back-end is serial, so its counters are thread-invariant.
+  EXPECT_FALSE(isOrderDependentCounter("dp/bbox_delta"));
 
   const std::map<std::string, CounterRegistry::Value> mixed = {
       {"fft/dct2d", 10},

@@ -1,7 +1,7 @@
 // Unit tests for the incremental net-bbox cache (dp/net_bbox.h): every
 // value the cache or its override evaluator produces must equal a full
 // rescan bit-for-bit (EXPECT_EQ on doubles, no tolerance) — that is the
-// property that lets the parallel DP back-end replace the full-scan
+// property that lets the DP back-end replace the full-scan
 // evaluator without perturbing any placement result.
 #include <gtest/gtest.h>
 
