@@ -1,7 +1,7 @@
 // Fig. 11 reproduction: 2-D DCT/IDCT implementations, float32.
 //
-// Paper shape (512^2..4096^2 maps; scaled here to 128^2..1024^2 for one
-// core): relative to the 2N-point-FFT row-column baseline, the N-point
+// Paper shape (512^2..4096^2 maps; scaled here to 128^2..1024^2):
+// relative to the 2N-point-FFT row-column baseline, the N-point
 // formulation (Alg. 3) is ~2.1x faster for DCT / ~1.3x for IDCT, and the
 // single-pass 2-D N-point formulation (Alg. 4) ~5.0x / ~4.1x faster.
 #include <benchmark/benchmark.h>
@@ -35,11 +35,12 @@ void dct2dBench(benchmark::State& state, Dct2dAlgorithm algo, bool inverse) {
   const int m = static_cast<int>(state.range(0));
   auto& in = mapOfSize(m);
   std::vector<float> out(in.size());
+  fft::Dct2dPlan<float> plan(m, m, algo);
   for (auto _ : state) {
     if (inverse) {
-      fft::idct2d(in.data(), out.data(), m, m, algo);
+      plan.idct2d(in.data(), out.data());
     } else {
-      fft::dct2d(in.data(), out.data(), m, m, algo);
+      plan.dct2d(in.data(), out.data());
     }
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
@@ -72,8 +73,8 @@ void registerAll() {
 
 // Self-timed sweep for the machine-readable export: google-benchmark's
 // JSON reporter would redirect the console tables, so the file keeps its
-// own (smaller) measurement pass — best of `kIters` after one warm-up
-// call, which is also what makes the fft/* counter snapshot deterministic.
+// own (smaller) measurement pass — one plan per (algorithm, size), built
+// outside the timed calls, then best of `kIters` after one warm-up call.
 void writeJsonReport(const std::string& path) {
   struct Variant {
     const char* name;
@@ -87,19 +88,20 @@ void writeJsonReport(const std::string& path) {
   constexpr int kIters = 3;
   bench::BenchJsonWriter writer("fig11_dct");
   for (const auto& v : variants) {
-    for (bool inverse : {false, true}) {
-      for (int m : {128, 256, 512}) {
-        auto& in = mapOfSize(m);
-        std::vector<float> out(in.size());
+    for (int m : {128, 256, 512}) {
+      auto& in = mapOfSize(m);
+      std::vector<float> out(in.size());
+      fft::Dct2dPlan<float> plan(m, m, v.algo);
+      for (bool inverse : {false, true}) {
         const auto run = [&] {
           if (inverse) {
-            fft::idct2d(in.data(), out.data(), m, m, v.algo);
+            plan.idct2d(in.data(), out.data());
           } else {
-            fft::dct2d(in.data(), out.data(), m, m, v.algo);
+            plan.dct2d(in.data(), out.data());
           }
           benchmark::DoNotOptimize(out.data());
         };
-        run();  // warm-up: builds the thread-local plan for (m, algo)
+        run();  // warm-up: first touch of the plan's workspace
         double best_ms = 0;
         for (int i = 0; i < kIters; ++i) {
           const auto t0 = std::chrono::steady_clock::now();

@@ -71,9 +71,9 @@ FlowContext& FlowContext::current() {
 }
 
 FlowContext& FlowContext::defaultContext() {
-  // Intentionally leaked: thread_local caches (FFT plan memos, scope
-  // stacks) release their attributions during thread/process teardown and
-  // must always find a live default context.
+  // Intentionally leaked: thread-local state (scope stacks) and static
+  // objects may release their attributions during thread/process teardown
+  // and must always find a live default context.
   static FlowContext* ctx = new FlowContext(Config{}, DefaultTag{});
   return *ctx;
 }

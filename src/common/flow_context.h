@@ -9,7 +9,7 @@
 // private TraceRecorder or a reference to the shared default one — and a
 // pointer to the ThreadPool the flow should run on.
 //
-// Resolution model (lock-free, one thread_local read):
+// Resolution model (lock-free, one thread-local read):
 //   * FlowContext::current() returns the context installed on this thread
 //     by a FlowContextScope, falling back to the process-wide default
 //     context.

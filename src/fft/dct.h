@@ -12,7 +12,12 @@
 // real FFT, halving the transform size again.
 #pragma once
 
+#include <complex>
+#include <cstddef>
+#include <optional>
 #include <vector>
+
+#include "fft/plan.h"
 
 namespace dreamplace::fft {
 
@@ -22,6 +27,8 @@ enum class DctAlgorithm {
   kFftN,       ///< via an N-point real FFT (Algorithm 3).
 };
 
+// One-shot vector forms (the test oracle API): each call builds a plan
+// and a local scratch buffer.
 template <typename T>
 std::vector<T> dct(const std::vector<T>& x,
                    DctAlgorithm algo = DctAlgorithm::kFftN);
@@ -37,19 +44,39 @@ template <typename T>
 std::vector<T> idxst(const std::vector<T>& c,
                      DctAlgorithm algo = DctAlgorithm::kFftN);
 
-// Pointer-based forms used by the 2-D row-column drivers: write the n
-// outputs into `out` with no per-call vector round trip. `in` and `out`
-// must not alias. Internal temporaries are thread-local, so steady-state
-// calls are allocation-free per thread.
+/// Immutable 1-D plan for one (n, algorithm): the quarter-wave twiddles
+/// exp(-i*pi*k/(2n)) plus the FFT plans the algorithm executes (both
+/// directions, owned). The transforms perform no trigonometry and no
+/// allocation; callers pass scratchSize() complex slots, so one plan may
+/// serve any number of threads concurrently, each with its own scratch.
+/// `in` and `out` must not alias each other or the scratch.
 template <typename T>
-void dct(const T* in, T* out, int n, DctAlgorithm algo = DctAlgorithm::kFftN);
+class DctPlan {
+ public:
+  /// kFftN requires even n; the other algorithms take any n >= 1.
+  explicit DctPlan(int n, DctAlgorithm algo = DctAlgorithm::kFftN);
 
-template <typename T>
-void idct(const T* in, T* out, int n,
-          DctAlgorithm algo = DctAlgorithm::kFftN);
+  /// Complex scratch slots any of the three transforms needs.
+  std::size_t scratchSize() const { return scratch_size_; }
 
-template <typename T>
-void idxst(const T* in, T* out, int n,
-           DctAlgorithm algo = DctAlgorithm::kFftN);
+  void dct(const T* in, T* out, std::complex<T>* scratch) const;
+  void idct(const T* in, T* out, std::complex<T>* scratch) const;
+  void idxst(const T* in, T* out, std::complex<T>* scratch) const;
+
+ private:
+  void dctFft2N(const T* x, T* out, std::complex<T>* scratch) const;
+  void idctFft2N(const T* c, T* out, std::complex<T>* scratch) const;
+  void dctFftN(const T* x, T* out, std::complex<T>* scratch) const;
+  void idctFftN(const T* c, T* out, std::complex<T>* scratch) const;
+
+  int n_;
+  DctAlgorithm algo_;
+  std::size_t scratch_size_ = 0;
+  std::vector<std::complex<T>> tw_;  ///< exp(-i*pi*k/(2n)), k < n
+  std::optional<FftPlan<T>> fwd2n_;  ///< kFft2N: size 2n forward
+  std::optional<FftPlan<T>> inv2n_;  ///< kFft2N: size 2n inverse
+  std::optional<RfftPlan<T>> rfwd_;  ///< kFftN: size n rfft
+  std::optional<RfftPlan<T>> rinv_;  ///< kFftN: size n irfft
+};
 
 }  // namespace dreamplace::fft

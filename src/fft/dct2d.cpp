@@ -1,14 +1,11 @@
 #include "fft/dct2d.h"
 
+#include <algorithm>
 #include <cmath>
-#include <map>
-#include <memory>
-#include <tuple>
 
 #include "common/counters.h"
 #include "common/log.h"
 #include "common/parallel.h"
-#include "fft/fft.h"
 
 namespace dreamplace::fft {
 
@@ -78,19 +75,23 @@ Dct2dPlan<T>::Dct2dPlan(int n1, int n2, Dct2dAlgorithm algo)
   const size_t total = static_cast<size_t>(n1_) * n2_;
   buf_a_.resize(total);
   if (algo_ != Dct2dAlgorithm::kFft2dN) {
+    row_dct_.emplace(n2_, to1d(algo_));
+    col_dct_.emplace(n1_, to1d(algo_));
+    row_scratch_stride_ = row_dct_->scratchSize();
+    col_scratch_stride_ = col_dct_->scratchSize();
     buf_b_.resize(total);
     flip_.resize(total);
-    trackWorkspace();
+    ensureScratch();
     return;
   }
 
   DP_ASSERT_MSG(n2_ % 2 == 0, "2-D FFT DCT requires even n2, got %d", n2_);
   h2_ = n2_ / 2;
   stride_ = h2_ + 1;
-  row_fwd_ = PlanCache::realPlan<T>(n2_, false);
-  row_inv_ = PlanCache::realPlan<T>(n2_, true);
-  col_fwd_ = PlanCache::complexPlan<T>(n1_, false);
-  col_inv_ = PlanCache::complexPlan<T>(n1_, true);
+  row_fwd_.emplace(n2_, false);
+  row_inv_.emplace(n2_, true);
+  col_fwd_.emplace(n1_, false);
+  col_inv_.emplace(n1_, true);
 
   tw1_.resize(n1_);
   for (int k = 0; k < n1_; ++k) {
@@ -114,14 +115,11 @@ Dct2dPlan<T>::Dct2dPlan(int n1, int n2, Dct2dAlgorithm algo)
   }
 
   spec_.resize(static_cast<size_t>(n1_) * stride_);
-  scratch_workers_ = currentThreadPool().threads();
   row_scratch_stride_ =
       std::max(row_fwd_->scratchSize(), row_inv_->scratchSize());
   col_scratch_stride_ = static_cast<size_t>(n1_) +
       std::max(col_fwd_->scratchSize(), col_inv_->scratchSize());
-  row_ws_.resize(row_scratch_stride_ * scratch_workers_);
-  col_ws_.resize(col_scratch_stride_ * scratch_workers_);
-  trackWorkspace();
+  ensureScratch();
 }
 
 template <typename T>
@@ -157,32 +155,31 @@ std::complex<T>* Dct2dPlan<T>::colScratch(int worker) {
 }
 
 /// Row-column driver: transform dim1 (rows), transpose, transform dim0,
-/// transpose back. The 1-D transforms write straight into the plan's
-/// buffers through the pointer API — no per-row vector round trips.
+/// transpose back. Each block runs the row (or column) DctPlan on its
+/// worker's scratch lane and writes straight into the plan's buffers.
 template <typename T>
 void Dct2dPlan<T>::rowColApply(const T* in, T* out, bool forward) {
-  const DctAlgorithm algo1d = to1d(algo_);
-  // The 1-D stateless transforms memoize one plan per thread, so rows
-  // can run on any worker without sharing workspace.
-  parallelFor("fft/rowcol_rows", n1_, 4, [&](Index i) {
-    if (forward) {
-      dct(in + static_cast<size_t>(i) * n2_,
-          buf_a_.data() + static_cast<size_t>(i) * n2_, n2_, algo1d);
-    } else {
-      idct(in + static_cast<size_t>(i) * n2_,
-           buf_a_.data() + static_cast<size_t>(i) * n2_, n2_, algo1d);
-    }
-  });
+  ensureScratch();
+  const auto transform = forward ? &DctPlan<T>::dct : &DctPlan<T>::idct;
+  parallelForBlocked("fft/rowcol_rows", n1_, 4,
+                     [&](Index begin, Index end, int worker) {
+                       for (Index i = begin; i < end; ++i) {
+                         const size_t row = static_cast<size_t>(i) * n2_;
+                         ((*row_dct_).*transform)(in + row,
+                                                  buf_a_.data() + row,
+                                                  rowScratch(worker));
+                       }
+                     });
   transposeBlocked(buf_a_.data(), buf_b_.data(), n1_, n2_);
-  parallelFor("fft/rowcol_cols", n2_, 4, [&](Index j) {
-    if (forward) {
-      dct(buf_b_.data() + static_cast<size_t>(j) * n1_,
-          buf_a_.data() + static_cast<size_t>(j) * n1_, n1_, algo1d);
-    } else {
-      idct(buf_b_.data() + static_cast<size_t>(j) * n1_,
-           buf_a_.data() + static_cast<size_t>(j) * n1_, n1_, algo1d);
-    }
-  });
+  parallelForBlocked("fft/rowcol_cols", n2_, 4,
+                     [&](Index begin, Index end, int worker) {
+                       for (Index j = begin; j < end; ++j) {
+                         const size_t col = static_cast<size_t>(j) * n1_;
+                         ((*col_dct_).*transform)(buf_b_.data() + col,
+                                                  buf_a_.data() + col,
+                                                  colScratch(worker));
+                       }
+                     });
   transposeBlocked(buf_a_.data(), out, n2_, n1_);
 }
 
@@ -425,63 +422,7 @@ void Dct2dPlan<T>::idxstIdct(const T* in, T* out) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Stateless wrappers over a thread-local plan cache
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Plans are not thread-safe (they own workspace), so the stateless entry
-/// points memoize one plan per (n1, n2, algo) per thread. Counters:
-/// `fft/plan2d/create` and `fft/plan2d/hit`.
-template <typename T>
-Dct2dPlan<T>& threadLocalPlan(int n1, int n2, Dct2dAlgorithm algo) {
-  static Counter creates("fft/plan2d/create");
-  static Counter hits("fft/plan2d/hit");
-  thread_local std::map<std::tuple<int, int, int>,
-                        std::unique_ptr<Dct2dPlan<T>>> cache;
-  auto& slot = cache[std::make_tuple(n1, n2, static_cast<int>(algo))];
-  if (!slot) {
-    creates.add();
-    slot = std::make_unique<Dct2dPlan<T>>(n1, n2, algo);
-  } else {
-    hits.add();
-  }
-  return *slot;
-}
-
-}  // namespace
-
-template <typename T>
-void dct2d(const T* in, T* out, int n1, int n2, Dct2dAlgorithm algo) {
-  threadLocalPlan<T>(n1, n2, algo).dct2d(in, out);
-}
-
-template <typename T>
-void idct2d(const T* in, T* out, int n1, int n2, Dct2dAlgorithm algo) {
-  threadLocalPlan<T>(n1, n2, algo).idct2d(in, out);
-}
-
-template <typename T>
-void idctIdxst(const T* in, T* out, int n1, int n2, Dct2dAlgorithm algo) {
-  threadLocalPlan<T>(n1, n2, algo).idctIdxst(in, out);
-}
-
-template <typename T>
-void idxstIdct(const T* in, T* out, int n1, int n2, Dct2dAlgorithm algo) {
-  threadLocalPlan<T>(n1, n2, algo).idxstIdct(in, out);
-}
-
-#define DP_INSTANTIATE_DCT2D(T)                                      \
-  template class Dct2dPlan<T>;                                       \
-  template void dct2d<T>(const T*, T*, int, int, Dct2dAlgorithm);    \
-  template void idct2d<T>(const T*, T*, int, int, Dct2dAlgorithm);   \
-  template void idctIdxst<T>(const T*, T*, int, int, Dct2dAlgorithm); \
-  template void idxstIdct<T>(const T*, T*, int, int, Dct2dAlgorithm);
-
-DP_INSTANTIATE_DCT2D(float)
-DP_INSTANTIATE_DCT2D(double)
-
-#undef DP_INSTANTIATE_DCT2D
+template class Dct2dPlan<float>;
+template class Dct2dPlan<double>;
 
 }  // namespace dreamplace::fft

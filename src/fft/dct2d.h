@@ -12,14 +12,13 @@
 // Scaling follows the 1-D conventions in dct.h applied per dimension, so
 // idct2d(dct2d(x)) == (n1/2)*(n2/2) * x.
 //
-// Dct2dPlan is the plan-based engine (docs/FFT.md): it owns the 1-D FFT
+// Dct2dPlan is the only 2-D entry point (docs/FFT.md): it owns its 1-D
 // plans, the reorder index maps, the twiddle tables, and every scratch
 // buffer, so executing any transform is trig-free and allocation-free.
-// The stateless functions below remain as thin wrappers over a
-// thread-local plan cache, so one-shot callers keep working unchanged.
 #pragma once
 
 #include <complex>
+#include <optional>
 #include <vector>
 
 #include "common/memory.h"
@@ -37,17 +36,18 @@ enum class Dct2dAlgorithm {
 
 /// Reusable 2-D transform plan for one (n1, n2, algorithm) triple.
 ///
-/// Construction precomputes the Makhoul reorder index maps, the quarter-
-/// wave twiddle tables, the underlying 1-D FFT plans (shared through
-/// PlanCache), and sizes all workspace — including per-pool-worker row
-/// and column scratch — so the transform methods perform no trigonometry
-/// and no heap allocation (scratch regrows only if the thread pool is
-/// enlarged after plan construction). The mixed inverse transforms fuse
-/// the paper's
-/// eq. (14)/(16) input flips and eq. (15)/(17) sign passes into the
-/// existing twiddle and reorder sweeps instead of materializing a flipped
-/// copy plus a sign sweep (kFft2dN only; row-column algorithms keep the
-/// literal flip for oracle comparability).
+/// Construction builds the plans the algorithm executes — two 1-D FFT
+/// plans per dimension for kFft2dN, one DctPlan per dimension for the
+/// row-column algorithms — plus, for kFft2dN, the Makhoul reorder index
+/// maps and quarter-wave twiddle tables, and sizes all workspace
+/// (including per-pool-worker row and column scratch), so the transform
+/// methods perform no trigonometry and no heap allocation (scratch
+/// regrows only if the thread pool is enlarged after plan construction).
+/// The mixed inverse transforms fuse the paper's eq. (14)/(16) input flips
+/// and eq. (15)/(17) sign passes into the existing twiddle and reorder
+/// sweeps instead of materializing a flipped copy plus a sign sweep
+/// (kFft2dN only; row-column algorithms keep the literal flip for oracle
+/// comparability).
 ///
 /// NOT thread-safe: a plan owns its workspace, so use one plan per thread
 /// (the transforms parallelize internally on the deterministic
@@ -78,7 +78,7 @@ class Dct2dPlan {
   /// Attributes all owned workspace/table bytes to "fft/scratch".
   void trackWorkspace();
   /// Grows the per-worker scratch if the pool gained threads since plan
-  /// construction (kFft2dN only).
+  /// construction.
   void ensureScratch();
 
   std::complex<T>* rowScratch(int worker);
@@ -90,11 +90,15 @@ class Dct2dPlan {
   int stride_ = 0;  ///< h2_+1, row stride of the one-sided spectrum
   Dct2dAlgorithm algo_;
 
+  // Row-column state.
+  std::optional<DctPlan<T>> row_dct_;  ///< size n2
+  std::optional<DctPlan<T>> col_dct_;  ///< size n1
+
   // kFft2dN state.
-  std::shared_ptr<const RfftPlan<T>> row_fwd_;  ///< size n2
-  std::shared_ptr<const RfftPlan<T>> row_inv_;
-  std::shared_ptr<const FftPlan<T>> col_fwd_;  ///< size n1
-  std::shared_ptr<const FftPlan<T>> col_inv_;
+  std::optional<RfftPlan<T>> row_fwd_;  ///< size n2
+  std::optional<RfftPlan<T>> row_inv_;
+  std::optional<FftPlan<T>> col_fwd_;  ///< size n1
+  std::optional<FftPlan<T>> col_inv_;
   std::vector<std::complex<T>> tw1_;  ///< exp(-i*pi*k1/(2*n1)), k1 < n1
   std::vector<std::complex<T>> tw2_;  ///< exp(-i*pi*k2/(2*n2)), k2 < n2
   std::vector<int> reorder1_, reorder2_;        ///< forward gather maps
@@ -108,27 +112,9 @@ class Dct2dPlan {
   std::size_t row_scratch_stride_ = 0;
   std::size_t col_scratch_stride_ = 0;
   int scratch_workers_ = 0;                 ///< pool size scratch is sized for
-  std::vector<std::complex<T>> row_ws_;     ///< per-worker rfft scratch
-  std::vector<std::complex<T>> col_ws_;     ///< per-worker column + scratch
+  std::vector<std::complex<T>> row_ws_;     ///< per-worker row scratch
+  std::vector<std::complex<T>> col_ws_;     ///< per-worker column scratch
   TrackedBytes mem_{"fft/scratch"};         ///< memory attribution
 };
-
-template <typename T>
-void dct2d(const T* in, T* out, int n1, int n2,
-           Dct2dAlgorithm algo = Dct2dAlgorithm::kFft2dN);
-
-template <typename T>
-void idct2d(const T* in, T* out, int n1, int n2,
-            Dct2dAlgorithm algo = Dct2dAlgorithm::kFft2dN);
-
-/// IDCT along dim0, IDXST along dim1 (paper Alg. 4 IDCT_IDXST).
-template <typename T>
-void idctIdxst(const T* in, T* out, int n1, int n2,
-               Dct2dAlgorithm algo = Dct2dAlgorithm::kFft2dN);
-
-/// IDXST along dim0, IDCT along dim1 (paper Alg. 4 IDXST_IDCT).
-template <typename T>
-void idxstIdct(const T* in, T* out, int n1, int n2,
-               Dct2dAlgorithm algo = Dct2dAlgorithm::kFft2dN);
 
 }  // namespace dreamplace::fft

@@ -2,60 +2,15 @@
 
 #include <cmath>
 
-#include "common/counters.h"
-#include "common/log.h"
 #include "fft/plan.h"
 
 namespace dreamplace::fft {
 
-namespace {
-
-/// Thread-local scratch for the stateless wrappers: grows monotonically,
-/// so steady-state calls are allocation-free per thread. Growth events
-/// are counted under `fft/scratch_grow`.
-template <typename T>
-std::complex<T>* wrapperScratch(std::size_t need) {
-  thread_local std::vector<std::complex<T>> buf;
-  if (buf.size() < need) {
-    static Counter grows("fft/scratch_grow");
-    grows.add();
-    buf.resize(need);
-  }
-  return buf.data();
-}
-
-/// Thread-local one-entry-per-direction memo over the global plan cache:
-/// repeated same-size calls (row/column loops) skip the cache mutex.
-template <typename T>
-const FftPlan<T>* memoizedComplexPlan(int n, bool inverse) {
-  thread_local std::shared_ptr<const FftPlan<T>> memo[2];
-  auto& slot = memo[inverse ? 1 : 0];
-  if (!slot || slot->size() != n) {
-    slot = PlanCache::complexPlan<T>(n, inverse);
-  }
-  return slot.get();
-}
-
-template <typename T>
-const RfftPlan<T>* memoizedRealPlan(int n, bool inverse) {
-  thread_local std::shared_ptr<const RfftPlan<T>> memo[2];
-  auto& slot = memo[inverse ? 1 : 0];
-  if (!slot || slot->size() != n) {
-    slot = PlanCache::realPlan<T>(n, inverse);
-  }
-  return slot.get();
-}
-
-}  // namespace
-
 template <typename T>
 void fft(std::complex<T>* data, int n, bool inverse) {
-  DP_ASSERT(n >= 1);
-  if (n == 1) {
-    return;
-  }
-  const FftPlan<T>* plan = memoizedComplexPlan<T>(n, inverse);
-  plan->execute(data, wrapperScratch<T>(plan->scratchSize()));
+  const FftPlan<T> plan(n, inverse);
+  std::vector<std::complex<T>> scratch(plan.scratchSize());
+  plan.execute(data, scratch.data());
 }
 
 template <typename T>
@@ -67,16 +22,16 @@ std::vector<std::complex<T>> fft(std::vector<std::complex<T>> data,
 
 template <typename T>
 void rfft(const T* in, std::complex<T>* out, int n) {
-  DP_ASSERT_MSG(n >= 2 && n % 2 == 0, "rfft requires even n, got %d", n);
-  const RfftPlan<T>* plan = memoizedRealPlan<T>(n, false);
-  plan->forward(in, out, wrapperScratch<T>(plan->scratchSize()));
+  const RfftPlan<T> plan(n, false);
+  std::vector<std::complex<T>> scratch(plan.scratchSize());
+  plan.forward(in, out, scratch.data());
 }
 
 template <typename T>
 void irfft(const std::complex<T>* in, T* out, int n) {
-  DP_ASSERT_MSG(n >= 2 && n % 2 == 0, "irfft requires even n, got %d", n);
-  const RfftPlan<T>* plan = memoizedRealPlan<T>(n, true);
-  plan->inverse(in, out, wrapperScratch<T>(plan->scratchSize()));
+  const RfftPlan<T> plan(n, true);
+  std::vector<std::complex<T>> scratch(plan.scratchSize());
+  plan.inverse(in, out, scratch.data());
 }
 
 template <typename T>

@@ -12,6 +12,10 @@
 //   ifft:  x_n = (1/N) sum_k X_k exp(+2*pi*i*k*n/N)  (normalized)
 //   rfft:  real x[N] -> complex X[N/2+1], N even
 //   irfft: complex X[N/2+1] -> real x[N], N even; irfft(rfft(x)) == x
+//
+// These free functions are one-shot conveniences (tests, oracles): each
+// call builds its plan and a local scratch buffer. Hot paths own an
+// FftPlan / RfftPlan (fft/plan.h) instead.
 #pragma once
 
 #include <complex>

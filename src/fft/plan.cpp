@@ -1,8 +1,6 @@
 #include "fft/plan.h"
 
 #include <cmath>
-#include <map>
-#include <mutex>
 
 #include "common/counters.h"
 #include "common/log.h"
@@ -26,6 +24,18 @@ std::complex<T> unitPhase(double angle) {
   return {static_cast<T>(std::cos(angle)), static_cast<T>(std::sin(angle))};
 }
 
+void countPlanCreate() {
+  static Counter creates("fft/plan/create");
+  creates.add();
+}
+
+/// Half-size plan length for an even real transform; checked before the
+/// owned half plan is constructed.
+int halfSize(int n) {
+  DP_ASSERT_MSG(n >= 2 && n % 2 == 0, "real FFT requires even n, got %d", n);
+  return n / 2;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -35,6 +45,7 @@ std::complex<T> unitPhase(double angle) {
 template <typename T>
 FftPlan<T>::FftPlan(int n, bool inverse) : n_(n), inverse_(inverse) {
   DP_ASSERT(n >= 1);
+  countPlanCreate();
   if (n_ == 1) {
     return;
   }
@@ -158,10 +169,10 @@ void FftPlan<T>::execute(std::complex<T>* data,
 // ---------------------------------------------------------------------------
 
 template <typename T>
-RfftPlan<T>::RfftPlan(int n, bool inverse) : n_(n), inverse_(inverse) {
-  DP_ASSERT_MSG(n >= 2 && n % 2 == 0, "real FFT requires even n, got %d", n);
+RfftPlan<T>::RfftPlan(int n, bool inverse)
+    : n_(n), inverse_(inverse), half_(halfSize(n), inverse) {
+  countPlanCreate();
   const int h = n_ / 2;
-  half_ = PlanCache::complexPlan<T>(h, inverse_);
   unpack_.resize(h + 1);
   const double base = (inverse_ ? 2.0 : -2.0) * M_PI / n_;
   for (int k = 0; k <= h; ++k) {
@@ -171,7 +182,7 @@ RfftPlan<T>::RfftPlan(int n, bool inverse) : n_(n), inverse_(inverse) {
 
 template <typename T>
 std::size_t RfftPlan<T>::scratchSize() const {
-  return static_cast<std::size_t>(n_ / 2) + half_->scratchSize();
+  return static_cast<std::size_t>(n_ / 2) + half_.scratchSize();
 }
 
 template <typename T>
@@ -184,7 +195,7 @@ void RfftPlan<T>::forward(const T* in, std::complex<T>* out,
   for (int m = 0; m < h; ++m) {
     z[m] = std::complex<T>(in[2 * m], in[2 * m + 1]);
   }
-  half_->execute(z, scratch + h);
+  half_.execute(z, scratch + h);
   // Unpack: E_k (even-sample DFT) and O_k (odd-sample DFT).
   for (int k = 0; k <= h; ++k) {
     const std::complex<T> zk = z[k % h];
@@ -209,96 +220,16 @@ void RfftPlan<T>::inverse(const std::complex<T>* in, T* out,
     const std::complex<T> odd = (xk - xc) * T(0.5) * unpack_[k];
     z[k] = even + std::complex<T>(0, 1) * odd;
   }
-  half_->execute(z, scratch + h);
+  half_.execute(z, scratch + h);
   for (int m = 0; m < h; ++m) {
     out[2 * m] = z[m].real();
     out[2 * m + 1] = z[m].imag();
   }
 }
 
-// ---------------------------------------------------------------------------
-// PlanCache
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// One mutex-guarded shard per (plan kind, precision). Keyed by
-/// n * 2 + inverse. Plans are constructed while holding the shard lock so
-/// concurrent requests for the same key build exactly once; FftPlan
-/// construction never re-enters its own shard (Bluestein sub-plans are
-/// owned directly), and RfftPlan construction only takes the — distinct —
-/// FftPlan shard lock.
-template <typename P>
-struct PlanShard {
-  std::mutex mutex;
-  std::map<std::int64_t, std::shared_ptr<const P>> plans;
-
-  static PlanShard& instance() {
-    static PlanShard shard;
-    return shard;
-  }
-
-  std::shared_ptr<const P> get(int n, bool inverse) {
-    static Counter creates("fft/plan/create");
-    static Counter hits("fft/plan/hit");
-    const std::int64_t key = static_cast<std::int64_t>(n) * 2 + (inverse ? 1 : 0);
-    std::lock_guard<std::mutex> lock(mutex);
-    auto it = plans.find(key);
-    if (it != plans.end()) {
-      hits.add();
-      return it->second;
-    }
-    creates.add();
-    auto plan = std::make_shared<const P>(n, inverse);
-    plans.emplace(key, plan);
-    return plan;
-  }
-
-  std::size_t size() {
-    std::lock_guard<std::mutex> lock(mutex);
-    return plans.size();
-  }
-
-  void clear() {
-    std::lock_guard<std::mutex> lock(mutex);
-    plans.clear();
-  }
-};
-
-}  // namespace
-
-template <typename T>
-std::shared_ptr<const FftPlan<T>> PlanCache::complexPlan(int n,
-                                                         bool inverse) {
-  return PlanShard<FftPlan<T>>::instance().get(n, inverse);
-}
-
-template <typename T>
-std::shared_ptr<const RfftPlan<T>> PlanCache::realPlan(int n, bool inverse) {
-  return PlanShard<RfftPlan<T>>::instance().get(n, inverse);
-}
-
-std::size_t PlanCache::size() {
-  return PlanShard<FftPlan<float>>::instance().size() +
-         PlanShard<FftPlan<double>>::instance().size() +
-         PlanShard<RfftPlan<float>>::instance().size() +
-         PlanShard<RfftPlan<double>>::instance().size();
-}
-
-void PlanCache::clear() {
-  PlanShard<FftPlan<float>>::instance().clear();
-  PlanShard<FftPlan<double>>::instance().clear();
-  PlanShard<RfftPlan<float>>::instance().clear();
-  PlanShard<RfftPlan<double>>::instance().clear();
-}
-
-#define DP_INSTANTIATE_PLAN(T)                                             \
-  template class FftPlan<T>;                                               \
-  template class RfftPlan<T>;                                              \
-  template std::shared_ptr<const FftPlan<T>> PlanCache::complexPlan<T>(    \
-      int, bool);                                                          \
-  template std::shared_ptr<const RfftPlan<T>> PlanCache::realPlan<T>(int,  \
-                                                                     bool);
+#define DP_INSTANTIATE_PLAN(T) \
+  template class FftPlan<T>;     \
+  template class RfftPlan<T>;
 
 DP_INSTANTIATE_PLAN(float)
 DP_INSTANTIATE_PLAN(double)

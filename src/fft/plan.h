@@ -10,16 +10,13 @@
 // scratch explicitly (scratchSize() complex slots, zero for power-of-two
 // complex transforms).
 //
-// Thread-safety contract (see docs/FFT.md):
-//  * FftPlan / RfftPlan are immutable after construction; execute() is
-//    const and may be called concurrently from any number of threads, each
-//    with its own scratch.
-//  * PlanCache is a process-wide, mutex-guarded registry; concurrent
-//    lookups of the same key construct the plan exactly once and share it.
-//  * The legacy stateless entry points (fft(), rfft(), dct2d(), ...) wrap
-//    the cache with thread-local memoization and thread-local scratch, so
-//    existing callers stay correct and become allocation-free in steady
-//    state.
+// Ownership and thread-safety contract (see docs/FFT.md): FftPlan and
+// RfftPlan are immutable after construction and own every sub-plan they
+// execute (Bluestein sub-transforms, the rfft half-size plan). execute()
+// is const and may be called concurrently from any number of threads,
+// each with its own scratch. There is no shared plan registry: whoever
+// needs a transform constructs (and owns) its plan. Each construction
+// counts once under `fft/plan/create`.
 #pragma once
 
 #include <complex>
@@ -69,9 +66,9 @@ class FftPlan {
 };
 
 /// Immutable real-FFT plan for one (even size, direction): forward plans
-/// execute rfft (real n -> complex n/2+1), inverse plans irfft. Holds the
-/// half-size complex plan (shared through PlanCache) plus the precomputed
-/// unpack twiddles exp(-/+ 2*pi*i*k/n).
+/// execute rfft (real n -> complex n/2+1), inverse plans irfft. Owns the
+/// half-size complex plan plus the precomputed unpack twiddles
+/// exp(-/+ 2*pi*i*k/n).
 template <typename T>
 class RfftPlan {
  public:
@@ -94,26 +91,8 @@ class RfftPlan {
  private:
   int n_;
   bool inverse_;
-  std::shared_ptr<const FftPlan<T>> half_;  ///< size n/2, same direction
-  std::vector<std::complex<T>> unpack_;     ///< k = 0..n/2
-};
-
-/// Process-wide plan registry keyed by (size, direction) per precision.
-/// Lookups are mutex-guarded; each key is constructed exactly once.
-/// Counters: `fft/plan/create` and `fft/plan/hit`.
-class PlanCache {
- public:
-  template <typename T>
-  static std::shared_ptr<const FftPlan<T>> complexPlan(int n, bool inverse);
-
-  template <typename T>
-  static std::shared_ptr<const RfftPlan<T>> realPlan(int n, bool inverse);
-
-  /// Number of cached plans across all shards (both precisions).
-  static std::size_t size();
-
-  /// Drops every cached plan (outstanding shared_ptrs stay valid).
-  static void clear();
+  FftPlan<T> half_;                      ///< size n/2, same direction
+  std::vector<std::complex<T>> unpack_;  ///< k = 0..n/2
 };
 
 }  // namespace dreamplace::fft

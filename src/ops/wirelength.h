@@ -139,7 +139,7 @@ class WaWirelengthOp final : public WirelengthOp<T> {
   /// Per-worker block rows for the merged kernel: arg+/arg-/a+/a- strips
   /// for the largest net block plus per-net min/max, sized threads x
   /// (4*maxBlockPins + 2*kMergedGrain). Owned by the op (not
-  /// thread_local) so the bytes show up under the
+  /// thread-local) so the bytes show up under the
   /// ops/wirelength/merged_scratch memory key and die with the op.
   void ensureMergedScratch(int workers);
 

@@ -84,10 +84,6 @@ const char* statusName(JobStatus status) {
 }
 
 bool isOrderDependentCounter(std::string_view key) {
-  // Plan-cache counters attribute to whichever flow *first* needs a plan
-  // of a given size — under concurrency that is a race winner, not a
-  // property of the flow.
-  if (key.substr(0, 8) == "fft/plan") return true;
   // Watchdog samples and metrics exports are wall-clock sampling: how
   // many land on a flow depends on machine speed, never on the flow's
   // algorithmic work.
@@ -119,13 +115,13 @@ bool isResumeVariantCounter(std::string_view key) {
   // Lazy workspace counters: ops allocate scratch on first use and reuse
   // it afterwards. A resumed segment is a fresh process state, so it
   // re-allocates once more (alloc N -> N+1, reuse M -> M-1) even though
-  // the algorithmic work is identical.
+  // the algorithmic work is identical. Likewise it rebuilds its FFT plans.
   const auto ends_with = [&key](std::string_view suffix) {
     return key.size() >= suffix.size() &&
            key.substr(key.size() - suffix.size()) == suffix;
   };
   if (ends_with("_alloc") || ends_with("_reuse")) return true;
-  return key == "fft/scratch_grow";
+  return key == "fft/plan/create";
 }
 
 std::map<std::string, CounterRegistry::Value> resumeComparableCounters(
@@ -576,23 +572,17 @@ BatchReport PlacementEngine::run(std::vector<PlacementJob> jobs) {
                            static_cast<int>(jobs.size())));
   std::atomic<std::size_t> next{0};
 
-  // Each lane pulls the next unstarted job. Every job body runs on a
-  // *fresh* OS thread (not the lane thread, which stays warm across
-  // jobs): per-thread scratch caches then start cold for every job,
-  // identically at any concurrency level — one ingredient of the
-  // serial-vs-concurrent bit-identical-report contract (docs/ENGINE.md).
+  // Each lane pulls the next unstarted job and runs it on the lane
+  // thread. A flow owns all of its transform state (plans, scratch), so
+  // nothing a job computes depends on which lane ran it or what that
+  // lane ran before (docs/ENGINE.md).
   const auto lane = [&]() {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= jobs.size()) {
         break;
       }
-      JobReport report;
-      std::thread worker([this, &jobs, &report, i]() {
-        report = runJob(jobs[i]);
-      });
-      worker.join();
-      batch.jobs[i] = std::move(report);
+      batch.jobs[i] = runJob(jobs[i]);
     }
   };
 

@@ -2,22 +2,23 @@
 //
 // The paper's evaluation runs many designs through the same flow; doing
 // that one process per design wastes the expensive process-level state
-// (worker pool threads, cached FFT plans). The engine owns that state
-// once and accepts PlacementJobs — a database plus flow-scoped
-// PlacerOptions — running up to maxConcurrentJobs of them at a time, each
-// under its own FlowContext (place/report.h registries, private trace,
-// cooperative deadline), with bounded retry on failure.
+// (worker pool threads). The engine owns that state once and accepts
+// PlacementJobs — a database plus flow-scoped PlacerOptions — running up
+// to maxConcurrentJobs of them at a time, each under its own FlowContext
+// (place/report.h registries, private trace, cooperative deadline), with
+// bounded retry on failure.
 //
-// Determinism: every job runs on a fresh OS thread, so per-thread scratch
-// caches start cold identically whether the batch runs serial or
-// concurrent; per-flow registries keep counters/timers isolated; and the
-// deterministic parallel runtime (docs/PARALLEL.md) makes kernel results
-// independent of which pool threads execute them. Per-job reports are
-// therefore bit-identical (float64) between maxConcurrentJobs=1 and
+// Determinism: every flow owns its transform state (FFT plans and
+// scratch live in the flow's PoissonSolver), so a job's work does not
+// depend on which lane thread runs it or what ran before; per-flow
+// registries keep counters/timers isolated; and the deterministic
+// parallel runtime (docs/PARALLEL.md) makes kernel results independent
+// of which pool threads execute them. Per-job reports are therefore
+// bit-identical (float64) between maxConcurrentJobs=1 and
 // maxConcurrentJobs=N — except for the order-dependent counters listed in
-// isOrderDependentCounter(), which record shared-infrastructure
-// attribution (plan-cache insertion order, pool scheduling) rather than
-// algorithmic work. docs/ENGINE.md has the full contract.
+// isOrderDependentCounter(), which record pool scheduling and wall-clock
+// sampling rather than algorithmic work. docs/ENGINE.md has the full
+// contract.
 //
 // Health: an optional per-engine monitor thread samples each job's
 // heartbeat (common/heartbeat.h) and applies the stall/divergence
@@ -188,12 +189,12 @@ struct BatchReport {
 };
 
 /// True for counter keys whose values legitimately differ between serial
-/// and concurrent batch runs: they attribute *shared infrastructure*
-/// (plan-cache insertions land on whichever flow first needs a plan, pool
-/// start/steal/contention depend on scheduling), not algorithmic work.
-/// Everything else — op evaluate/solve counts, FFT transform counts,
-/// optimizer steps, parallel/jobs and parallel/tasks — is deterministic
-/// per flow and safe to compare bit-for-bit.
+/// and concurrent batch runs: they attribute *shared infrastructure* (pool
+/// start/steal/contention depend on scheduling) or wall-clock sampling
+/// (watchdog, metrics exports), not algorithmic work. Everything else —
+/// op evaluate/solve counts, FFT plan and transform counts, optimizer
+/// steps, parallel/jobs and parallel/tasks — is deterministic per flow
+/// and safe to compare bit-for-bit.
 bool isOrderDependentCounter(std::string_view key);
 
 /// Copy of `counters` with the order-dependent keys removed — the subset
@@ -204,8 +205,9 @@ std::map<std::string, CounterRegistry::Value> deterministicCounters(
 /// True for counter keys whose values legitimately differ between an
 /// uninterrupted flow and the same flow interrupted and resumed from a
 /// checkpoint: the order-dependent set above, checkpoint bookkeeping
-/// itself, and lazy workspace allocation/reuse counters (a resumed
-/// segment re-allocates scratch the original run reused). All
+/// itself, lazy workspace allocation/reuse counters (a resumed segment
+/// re-allocates scratch the original run reused) and `fft/plan/create`
+/// (a resumed segment rebuilds its plans). All
 /// *algorithmic-work* counters — op evaluations, optimizer steps,
 /// parallel/jobs — are resume-invariant and excluded from this set.
 bool isResumeVariantCounter(std::string_view key);

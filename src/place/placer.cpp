@@ -129,9 +129,11 @@ void PlacerOptions::validate() const {
     fail("threads must be >= 0 (got " + std::to_string(threads) +
          "); 0 means auto (DREAMPLACE_THREADS or hardware concurrency)");
   }
-  if (gp.binsMax <= 0) {
-    fail("gp.binsMax must be positive (got " + std::to_string(gp.binsMax) +
-         "); the density grid needs at least one bin per axis");
+  if (gp.binsMax < 16 || (gp.binsMax & (gp.binsMax - 1)) != 0) {
+    fail("gp.binsMax must be a power of two >= 16 (got " +
+         std::to_string(gp.binsMax) +
+         "); the density grid is a power-of-two bin count per axis, at "
+         "least 16");
   }
   if (!(gp.targetDensity > 0.0) || gp.targetDensity > 1.0) {
     fail("gp.targetDensity must be in (0, 1] (got " +

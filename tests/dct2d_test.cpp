@@ -34,8 +34,9 @@ TEST_P(Dct2dAlgoTest, ForwardMatchesNaive) {
   const auto [n1, n2, algo] = GetParam();
   auto x = randomMap(n1, n2, n1 * 100 + n2);
   std::vector<double> expected(x.size()), actual(x.size());
-  dct2d(x.data(), expected.data(), n1, n2, Dct2dAlgorithm::kRowColNaive);
-  dct2d(x.data(), actual.data(), n1, n2, algo);
+  Dct2dPlan<double>(n1, n2, Dct2dAlgorithm::kRowColNaive)
+      .dct2d(x.data(), expected.data());
+  Dct2dPlan<double>(n1, n2, algo).dct2d(x.data(), actual.data());
   EXPECT_LT(maxDiff(expected, actual), 1e-8 * n1 * n2);
 }
 
@@ -43,8 +44,9 @@ TEST_P(Dct2dAlgoTest, InverseMatchesNaive) {
   const auto [n1, n2, algo] = GetParam();
   auto x = randomMap(n1, n2, n1 * 200 + n2);
   std::vector<double> expected(x.size()), actual(x.size());
-  idct2d(x.data(), expected.data(), n1, n2, Dct2dAlgorithm::kRowColNaive);
-  idct2d(x.data(), actual.data(), n1, n2, algo);
+  Dct2dPlan<double>(n1, n2, Dct2dAlgorithm::kRowColNaive)
+      .idct2d(x.data(), expected.data());
+  Dct2dPlan<double>(n1, n2, algo).idct2d(x.data(), actual.data());
   EXPECT_LT(maxDiff(expected, actual), 1e-8 * n1 * n2);
 }
 
@@ -52,8 +54,9 @@ TEST_P(Dct2dAlgoTest, RoundTripScale) {
   const auto [n1, n2, algo] = GetParam();
   auto x = randomMap(n1, n2, n1 * 300 + n2);
   std::vector<double> c(x.size()), rt(x.size());
-  dct2d(x.data(), c.data(), n1, n2, algo);
-  idct2d(c.data(), rt.data(), n1, n2, algo);
+  Dct2dPlan<double> plan(n1, n2, algo);
+  plan.dct2d(x.data(), c.data());
+  plan.idct2d(c.data(), rt.data());
   const double scale = (n1 / 2.0) * (n2 / 2.0);
   double err = 0;
   for (size_t i = 0; i < x.size(); ++i) {
@@ -94,7 +97,7 @@ TEST_P(MixedTransformTest, IdctIdxstMatchesSeparable) {
     }
   }
   std::vector<double> actual(x.size());
-  idctIdxst(x.data(), actual.data(), n1, n2, algo);
+  Dct2dPlan<double>(n1, n2, algo).idctIdxst(x.data(), actual.data());
   EXPECT_LT(maxDiff(manual, actual), 1e-9 * n1 * n2);
 }
 
@@ -118,7 +121,7 @@ TEST_P(MixedTransformTest, IdxstIdctMatchesSeparable) {
     }
   }
   std::vector<double> actual(x.size());
-  idxstIdct(x.data(), actual.data(), n1, n2, algo);
+  Dct2dPlan<double>(n1, n2, algo).idxstIdct(x.data(), actual.data());
   EXPECT_LT(maxDiff(manual, actual), 1e-9 * n1 * n2);
 }
 
@@ -133,11 +136,13 @@ TEST(Dct2dTest, OddFirstDimensionUsesBluestein) {
   const int n1 = 5, n2 = 8;
   auto x = randomMap(n1, n2, 77);
   std::vector<double> a(x.size()), b(x.size());
-  dct2d(x.data(), a.data(), n1, n2, Dct2dAlgorithm::kRowColNaive);
-  dct2d(x.data(), b.data(), n1, n2, Dct2dAlgorithm::kFft2dN);
+  Dct2dPlan<double> naive(n1, n2, Dct2dAlgorithm::kRowColNaive);
+  Dct2dPlan<double> fast(n1, n2, Dct2dAlgorithm::kFft2dN);
+  naive.dct2d(x.data(), a.data());
+  fast.dct2d(x.data(), b.data());
   EXPECT_LT(maxDiff(a, b), 1e-8 * n1 * n2);
-  idct2d(x.data(), a.data(), n1, n2, Dct2dAlgorithm::kRowColNaive);
-  idct2d(x.data(), b.data(), n1, n2, Dct2dAlgorithm::kFft2dN);
+  naive.idct2d(x.data(), a.data());
+  fast.idct2d(x.data(), b.data());
   EXPECT_LT(maxDiff(a, b), 1e-8 * n1 * n2);
 }
 
@@ -148,42 +153,30 @@ TEST(Dct2dTest, EvenNonPowerOfTwoUsesBluestein) {
   const int n1 = 12, n2 = 20;
   auto x = randomMap(n1, n2, 555);
   std::vector<double> a(x.size()), b(x.size());
-  dct2d(x.data(), a.data(), n1, n2, Dct2dAlgorithm::kRowColNaive);
-  dct2d(x.data(), b.data(), n1, n2, Dct2dAlgorithm::kFft2dN);
+  Dct2dPlan<double> naive(n1, n2, Dct2dAlgorithm::kRowColNaive);
+  Dct2dPlan<double> fast(n1, n2, Dct2dAlgorithm::kFft2dN);
+  naive.dct2d(x.data(), a.data());
+  fast.dct2d(x.data(), b.data());
   EXPECT_LT(maxDiff(a, b), 1e-8 * n1 * n2);
-  idct2d(x.data(), a.data(), n1, n2, Dct2dAlgorithm::kRowColNaive);
-  idct2d(x.data(), b.data(), n1, n2, Dct2dAlgorithm::kFft2dN);
+  naive.idct2d(x.data(), a.data());
+  fast.idct2d(x.data(), b.data());
   EXPECT_LT(maxDiff(a, b), 1e-8 * n1 * n2);
-  idctIdxst(x.data(), a.data(), n1, n2, Dct2dAlgorithm::kRowColNaive);
-  idctIdxst(x.data(), b.data(), n1, n2, Dct2dAlgorithm::kFft2dN);
+  naive.idctIdxst(x.data(), a.data());
+  fast.idctIdxst(x.data(), b.data());
   EXPECT_LT(maxDiff(a, b), 1e-8 * n1 * n2);
-  idxstIdct(x.data(), a.data(), n1, n2, Dct2dAlgorithm::kRowColNaive);
-  idxstIdct(x.data(), b.data(), n1, n2, Dct2dAlgorithm::kFft2dN);
+  naive.idxstIdct(x.data(), a.data());
+  fast.idxstIdct(x.data(), b.data());
   EXPECT_LT(maxDiff(a, b), 1e-8 * n1 * n2);
-}
-
-TEST(Dct2dPlanTest, PlanMatchesStatelessEntryPoints) {
-  const int n1 = 16, n2 = 32;
-  auto x = randomMap(n1, n2, 321);
-  std::vector<double> via_plan(x.size()), via_free(x.size());
-  Dct2dPlan<double> plan(n1, n2, Dct2dAlgorithm::kFft2dN);
-  plan.dct2d(x.data(), via_plan.data());
-  dct2d(x.data(), via_free.data(), n1, n2, Dct2dAlgorithm::kFft2dN);
-  EXPECT_EQ(maxDiff(via_plan, via_free), 0.0);
-  plan.idctIdxst(x.data(), via_plan.data());
-  idctIdxst(x.data(), via_free.data(), n1, n2, Dct2dAlgorithm::kFft2dN);
-  EXPECT_EQ(maxDiff(via_plan, via_free), 0.0);
-  plan.idxstIdct(x.data(), via_plan.data());
-  idxstIdct(x.data(), via_free.data(), n1, n2, Dct2dAlgorithm::kFft2dN);
-  EXPECT_EQ(maxDiff(via_plan, via_free), 0.0);
 }
 
 TEST(Dct2dTest, NonSquareMaps) {
   const int n1 = 8, n2 = 32;
   auto x = randomMap(n1, n2, 99);
   std::vector<double> a(x.size()), b(x.size());
-  dct2d(x.data(), a.data(), n1, n2, Dct2dAlgorithm::kRowColNaive);
-  dct2d(x.data(), b.data(), n1, n2, Dct2dAlgorithm::kFft2dN);
+  Dct2dPlan<double> naive(n1, n2, Dct2dAlgorithm::kRowColNaive);
+  Dct2dPlan<double> fast(n1, n2, Dct2dAlgorithm::kFft2dN);
+  naive.dct2d(x.data(), a.data());
+  fast.dct2d(x.data(), b.data());
   EXPECT_LT(maxDiff(a, b), 1e-8 * n1 * n2);
 }
 
@@ -191,7 +184,7 @@ TEST(Dct2dTest, ConstantMapHasOnlyDc) {
   const int n = 16;
   std::vector<double> x(n * n, 3.0);
   std::vector<double> c(n * n);
-  dct2d(x.data(), c.data(), n, n, Dct2dAlgorithm::kFft2dN);
+  Dct2dPlan<double>(n, n).dct2d(x.data(), c.data());
   EXPECT_NEAR(c[0], 3.0 * n * n, 1e-8);
   for (size_t i = 1; i < c.size(); ++i) {
     EXPECT_NEAR(c[i], 0.0, 1e-8);
@@ -209,8 +202,8 @@ TEST(Dct2dFloatTest, SinglePrecisionAgreesWithDouble) {
   }
   std::vector<float> cf(n * n);
   std::vector<double> cd(n * n);
-  dct2d(xf.data(), cf.data(), n, n, Dct2dAlgorithm::kFft2dN);
-  dct2d(xd.data(), cd.data(), n, n, Dct2dAlgorithm::kFft2dN);
+  Dct2dPlan<float>(n, n).dct2d(xf.data(), cf.data());
+  Dct2dPlan<double>(n, n).dct2d(xd.data(), cd.data());
   double err = 0;
   for (int i = 0; i < n * n; ++i) {
     err = std::max(err, std::abs(cf[i] - cd[i]));

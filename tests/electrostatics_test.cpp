@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/counters.h"
+#include "common/memory.h"
 #include "common/rng.h"
 #include "ops/electrostatics.h"
 
@@ -174,35 +175,40 @@ TEST(PoissonTest, AllDctAlgorithmsAgree) {
 TEST(PoissonTest, SolveIsAllocationFreeAfterFirstCall) {
   // The solver owns its transform plans and spectral workspace, and the
   // caller-owned PoissonSolution buffers reach full size on the first
-  // call, so every later call must touch the heap zero times. Proven via
-  // the counter registry: no workspace growth, no new FFT plans, no plan
-  // scratch growth across the steady-state calls.
+  // call, so every later call must touch the heap zero times. Proven for
+  // every algorithm a flow can run via the counter registry (no workspace
+  // growth, no new FFT plans) and the memory tracker (the plan's
+  // attributed scratch bytes stand still).
   const int m = 32;
   Rng rng(41);
   std::vector<double> rho(static_cast<size_t>(m) * m);
   for (double& r : rho) {
     r = rng.uniform(0, 1);
   }
-  PoissonSolver<double> solver(m, m);
-  PoissonSolution<double> sol;
-  solver.solve(rho, sol);  // warm-up: grows `sol` to full size
-
   auto& reg = CounterRegistry::instance();
-  const auto ws_alloc = reg.value("ops/electrostatics/ws_alloc");
-  const auto ws_reuse = reg.value("ops/electrostatics/ws_reuse");
-  const auto plan_create = reg.value("fft/plan/create");
-  const auto plan2d_create = reg.value("fft/plan2d/create");
-  const auto scratch_grow = reg.value("fft/scratch_grow");
-  constexpr int kSteadyCalls = 5;
-  for (int i = 0; i < kSteadyCalls; ++i) {
-    solver.solve(rho, sol);
+  auto& mem = MemoryTracker::instance();
+  for (auto algo : {fft::Dct2dAlgorithm::kFft2dN,
+                    fft::Dct2dAlgorithm::kRowCol2N,
+                    fft::Dct2dAlgorithm::kRowColN}) {
+    SCOPED_TRACE(static_cast<int>(algo));
+    PoissonSolver<double> solver(m, m, algo);
+    PoissonSolution<double> sol;
+    solver.solve(rho, sol);  // warm-up: grows `sol` to full size
+
+    const auto ws_alloc = reg.value("ops/electrostatics/ws_alloc");
+    const auto ws_reuse = reg.value("ops/electrostatics/ws_reuse");
+    const auto plan_create = reg.value("fft/plan/create");
+    const auto scratch_bytes = mem.current("fft/scratch");
+    constexpr int kSteadyCalls = 5;
+    for (int i = 0; i < kSteadyCalls; ++i) {
+      solver.solve(rho, sol);
+    }
+    EXPECT_EQ(reg.value("ops/electrostatics/ws_alloc"), ws_alloc);
+    EXPECT_EQ(reg.value("ops/electrostatics/ws_reuse"),
+              ws_reuse + kSteadyCalls);
+    EXPECT_EQ(reg.value("fft/plan/create"), plan_create);
+    EXPECT_EQ(mem.current("fft/scratch"), scratch_bytes);
   }
-  EXPECT_EQ(reg.value("ops/electrostatics/ws_alloc"), ws_alloc);
-  EXPECT_EQ(reg.value("ops/electrostatics/ws_reuse"),
-            ws_reuse + kSteadyCalls);
-  EXPECT_EQ(reg.value("fft/plan/create"), plan_create);
-  EXPECT_EQ(reg.value("fft/plan2d/create"), plan2d_create);
-  EXPECT_EQ(reg.value("fft/scratch_grow"), scratch_grow);
 }
 
 TEST(PoissonFloatTest, SinglePrecisionTracksDouble) {

@@ -104,8 +104,6 @@ TEST(EngineOptionsTest, ValidateRejectsBadValues) {
 }
 
 TEST(EngineTest, OrderDependentCounterFilter) {
-  EXPECT_TRUE(isOrderDependentCounter("fft/plan/create"));
-  EXPECT_TRUE(isOrderDependentCounter("fft/plan/hit"));
   EXPECT_TRUE(isOrderDependentCounter("parallel/steals"));
   EXPECT_TRUE(isOrderDependentCounter("parallel/pool_start"));
   EXPECT_TRUE(isOrderDependentCounter("parallel/contended"));
@@ -114,6 +112,9 @@ TEST(EngineTest, OrderDependentCounterFilter) {
   EXPECT_TRUE(isOrderDependentCounter("metrics/exports"));
   EXPECT_FALSE(isOrderDependentCounter("parallel/jobs"));
   EXPECT_FALSE(isOrderDependentCounter("fft/dct2d"));
+  // Every flow builds and owns its FFT plans, so the plan count is a
+  // property of the flow, not of which flow ran first.
+  EXPECT_FALSE(isOrderDependentCounter("fft/plan/create"));
   EXPECT_FALSE(isOrderDependentCounter("ops/wirelength/evaluate"));
   // The LG/DP back-end is serial, so its counters are thread-invariant.
   EXPECT_FALSE(isOrderDependentCounter("dp/bbox_delta"));
@@ -125,13 +126,13 @@ TEST(EngineTest, OrderDependentCounterFilter) {
       {"health/checks", 17},
       {"metrics/exports", 4}};
   const auto filtered = deterministicCounters(mixed);
-  EXPECT_EQ(filtered.size(), 1u);
+  EXPECT_EQ(filtered.size(), 2u);
   EXPECT_EQ(filtered.count("fft/dct2d"), 1u);
+  EXPECT_EQ(filtered.count("fft/plan/create"), 1u);
 }
 
 TEST(EngineTest, ResumeVariantCounterFilter) {
   // Everything order-dependent is also resume-variant...
-  EXPECT_TRUE(isResumeVariantCounter("fft/plan/create"));
   EXPECT_TRUE(isResumeVariantCounter("parallel/steals"));
   EXPECT_TRUE(isResumeVariantCounter("health/checks"));
   // ...plus checkpoint bookkeeping and workspace allocation splits (a
@@ -141,7 +142,8 @@ TEST(EngineTest, ResumeVariantCounterFilter) {
   EXPECT_TRUE(isResumeVariantCounter("ops/electrostatics/ws_alloc"));
   EXPECT_TRUE(isResumeVariantCounter("ops/electrostatics/ws_reuse"));
   EXPECT_TRUE(isResumeVariantCounter("ops/wirelength/scratch_alloc"));
-  EXPECT_TRUE(isResumeVariantCounter("fft/scratch_grow"));
+  // ...and plan construction: a resumed segment rebuilds its plans.
+  EXPECT_TRUE(isResumeVariantCounter("fft/plan/create"));
   // Work counters stay comparable: original segment + resumed segment
   // must equal the uninterrupted totals.
   EXPECT_FALSE(isResumeVariantCounter("optimizer/nesterov/steps"));
@@ -154,7 +156,7 @@ TEST(EngineTest, ResumeVariantCounterFilter) {
       {"fft/dct2d", 10},
       {"checkpoint/saves", 3},
       {"ops/electrostatics/ws_alloc", 2},
-      {"fft/scratch_grow", 1},
+      {"fft/plan/create", 6},
       {"optimizer/nesterov/steps", 200}};
   const auto filtered = resumeComparableCounters(mixed);
   EXPECT_EQ(filtered.size(), 2u);
@@ -220,7 +222,8 @@ TEST(EngineTest, ConcurrentMatchesSerialBitExact) {
     EXPECT_EQ(c.result.legal, s.result.legal);
 
     // Per-flow counters: bit-identical outside the documented
-    // order-dependent keys (shared plan cache, pool scheduling).
+    // order-dependent keys (pool scheduling, wall-clock sampling). The
+    // FFT plan count is compared too: every job builds its own plans.
     EXPECT_EQ(deterministicCounters(c.report.counters),
               deterministicCounters(s.report.counters));
 
@@ -275,6 +278,26 @@ TEST(EngineTest, SequentialFlowsReportFromZero) {
             deterministicCounters(report1.counters));
   ASSERT_EQ(report2.timing.count("gp"), 1u);
   EXPECT_EQ(report2.timing.at("gp").count, 1);
+}
+
+// A flow's FFT plans belong to the flow: a second identical float64 flow
+// on the same thread builds exactly as many plans as the first instead of
+// inheriting anything the first one left behind.
+TEST(EngineTest, RepeatedFlowBuildsItsOwnPlans) {
+  PlacerOptions options = engineFlow();
+  options.precision = Precision::kFloat64;
+
+  RunReport reports[2];
+  for (RunReport& report : reports) {
+    auto db = engineDesign(7);
+    FlowContext context;
+    placeDesign(*db, options, context, &report);
+  }
+  ASSERT_EQ(reports[0].counters.count("fft/plan/create"), 1u);
+  EXPECT_GT(reports[0].counters.at("fft/plan/create"), 0);
+  ASSERT_EQ(reports[1].counters.count("fft/plan/create"), 1u);
+  EXPECT_EQ(reports[1].counters.at("fft/plan/create"),
+            reports[0].counters.at("fft/plan/create"));
 }
 
 TEST(EngineTest, TimeoutProducesTimedOutStatusWithoutRetry) {

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <complex>
 #include <thread>
@@ -182,48 +181,31 @@ TEST(FftFloatTest, Float32AccuracyAt4096) {
   EXPECT_LT(err, 2e-3);
 }
 
-TEST(PlanCacheTest, SameKeyIsSharedAcrossLookups) {
-  PlanCache::clear();
-  auto a = PlanCache::complexPlan<double>(64, false);
-  auto b = PlanCache::complexPlan<double>(64, false);
-  auto c = PlanCache::complexPlan<double>(64, true);
-  EXPECT_EQ(a.get(), b.get());
-  EXPECT_NE(a.get(), c.get());
-  EXPECT_EQ(PlanCache::size(), 2u);
+TEST(FftPlanTest, EachPlanOwnsItsSubPlans) {
+  // Every construction counts once, and a plan builds the sub-plans it
+  // executes itself: an rfft plan its half-size complex plan, a Bluestein
+  // plan its two padded radix-2 plans.
+  auto& reg = CounterRegistry::instance();
+  auto before = reg.value("fft/plan/create");
+  const RfftPlan<double> real(64, false);
+  EXPECT_EQ(reg.value("fft/plan/create"), before + 2);
+  before = reg.value("fft/plan/create");
+  const FftPlan<double> bluestein(1000, false);
+  EXPECT_EQ(reg.value("fft/plan/create"), before + 3);
 }
 
-TEST(PlanCacheTest, ConcurrentRequestsBuildOnce) {
-  PlanCache::clear();
-  const auto creates_before =
-      CounterRegistry::instance().value("fft/plan/create");
-  // A non-power-of-two size so construction (Bluestein chirp + q-spectrum)
-  // is slow enough for the two threads to genuinely overlap.
+TEST(FftPlanTest, OnePlanServesConcurrentCallers) {
+  // A plan is immutable and takes per-caller scratch, so two threads may
+  // execute it at once. A non-power-of-two size exercises the Bluestein
+  // path, which is the one that needs scratch.
   constexpr int kSize = 1000;
-  std::shared_ptr<const FftPlan<double>> got[2];
-  std::atomic<int> ready{0};
-  auto worker = [&](int slot) {
-    ready.fetch_add(1);
-    while (ready.load() < 2) {
-    }
-    got[slot] = PlanCache::complexPlan<double>(kSize, false);
-  };
-  std::thread t0(worker, 0);
-  std::thread t1(worker, 1);
-  t0.join();
-  t1.join();
-  ASSERT_TRUE(got[0] && got[1]);
-  EXPECT_EQ(got[0].get(), got[1].get());
-  EXPECT_EQ(CounterRegistry::instance().value("fft/plan/create"),
-            creates_before + 1);
-
-  // The shared plan must be usable concurrently (immutable + per-caller
-  // scratch): both threads transform the same input and must agree.
+  const FftPlan<double> plan(kSize, false);
   auto x = randomComplex(kSize, 11);
   std::vector<std::complex<double>> ya(x), yb(x);
-  std::vector<std::complex<double>> sa(got[0]->scratchSize()),
-      sb(got[0]->scratchSize());
-  std::thread ta([&] { got[0]->execute(ya.data(), sa.data()); });
-  std::thread tb([&] { got[1]->execute(yb.data(), sb.data()); });
+  std::vector<std::complex<double>> sa(plan.scratchSize()),
+      sb(plan.scratchSize());
+  std::thread ta([&] { plan.execute(ya.data(), sa.data()); });
+  std::thread tb([&] { plan.execute(yb.data(), sb.data()); });
   ta.join();
   tb.join();
   EXPECT_EQ(maxError(ya, yb), 0.0);

@@ -163,6 +163,15 @@ TEST(PlacerOptionsValidateTest, RejectsBadGpKnobs) {
   options.gp.binsMax = 0;
   expectValidateFails(options, "binsMax");
 
+  // The spectral solve needs an even (power-of-two) grid of >= 16 bins.
+  options = PlacerOptions();
+  options.gp.binsMax = 17;
+  expectValidateFails(options, "binsMax");
+
+  options = PlacerOptions();
+  options.gp.binsMax = 8;
+  expectValidateFails(options, "binsMax");
+
   options = PlacerOptions();
   options.gp.stopOverflow = 0.0;
   expectValidateFails(options, "stopOverflow");

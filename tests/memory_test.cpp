@@ -95,15 +95,19 @@ TEST(TrackedBytesTest, MoveTransfersTheReservation) {
 }
 
 TEST(TrackedBytesTest, Dct2dPlanAttributesItsScratch) {
-  const std::int64_t before = tracker().current("fft/scratch");
-  {
-    fft::Dct2dPlan<float> plan(64, 64, fft::Dct2dAlgorithm::kFft2dN);
-    EXPECT_GT(tracker().current("fft/scratch"), before);
-    // At least the two m*m transform buffers must be attributed.
-    EXPECT_GE(tracker().current("fft/scratch") - before,
-              static_cast<std::int64_t>(2 * 64 * 64 * sizeof(float)));
+  for (auto algo : {fft::Dct2dAlgorithm::kFft2dN,
+                    fft::Dct2dAlgorithm::kRowCol2N,
+                    fft::Dct2dAlgorithm::kRowColN}) {
+    SCOPED_TRACE(static_cast<int>(algo));
+    const std::int64_t before = tracker().current("fft/scratch");
+    {
+      fft::Dct2dPlan<float> plan(64, 64, algo);
+      // At least the two m*m transform buffers must be attributed.
+      EXPECT_GE(tracker().current("fft/scratch") - before,
+                static_cast<std::int64_t>(2 * 64 * 64 * sizeof(float)));
+    }
+    EXPECT_EQ(tracker().current("fft/scratch"), before);
   }
-  EXPECT_EQ(tracker().current("fft/scratch"), before);
 }
 
 }  // namespace
