@@ -4,8 +4,8 @@
 // (b) 1 thread vs all hardware threads for the TCAD config.
 //
 // Paper shape: TCAD kernels 1.5-2.1x faster than the DAC version; CPU
-// threading gives ~3.1x at 40 threads (on this 1-core machine the thread
-// sweep only measures overhead; see EXPERIMENTS.md).
+// threading gives ~3.1x at 40 threads (the local sweep stops at the
+// machine's core count; see EXPERIMENTS.md).
 #include <benchmark/benchmark.h>
 
 #include <map>

@@ -3,10 +3,10 @@
 //
 // Paper shape: 2x2 is the sweet spot (~20-30% faster than 1x1); larger
 // factors pay more index-math and contention than they save in balance.
-// On one CPU core the balancing benefit is absent, so the expected local
-// shape is: overhead grows with the subdivision factor, with 1x1/2x2
-// close together — the ablation still quantifies the redundancy cost the
-// paper trades against warp balance.
+// On a CPU there is no warp to balance, so the expected local shape is:
+// overhead grows with the subdivision factor, with 1x1/2x2 close
+// together — the ablation still quantifies the redundancy cost the paper
+// trades against warp balance.
 #include <benchmark/benchmark.h>
 
 #include <memory>

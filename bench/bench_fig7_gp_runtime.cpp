@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   BenchJsonWriter writer("fig7_gp_runtime");
 
   // GP-only sweep over many configs: use a smaller default scale so the
-  // 48-run matrix stays tractable on one core.
+  // 48-run matrix stays tractable.
   const double scale = benchScale(0.005);
   std::printf("Fig. 7: GP runtime (seconds) per design, config, precision "
               "(scale %.3f)\n\n", scale);

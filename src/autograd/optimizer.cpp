@@ -140,13 +140,14 @@ double NesterovOptimizer<T>::step() {
   }
   value = cand_value;
 
-  // Commit.
-  u_prev_ = u_;
-  u_ = u_cand_;
-  v_prev_ = v_;
-  v_ = v_cand_;
-  grad_v_prev_ = grad_v_;
-  grad_v_ = grad_cand_;
+  // Commit by rotating buffers: the *_cand_ vectors receive the stale
+  // *_prev_ contents, which the next step overwrites before reading.
+  u_prev_.swap(u_);
+  u_.swap(u_cand_);
+  v_prev_.swap(v_);
+  v_.swap(v_cand_);
+  grad_v_prev_.swap(grad_v_);
+  grad_v_.swap(grad_cand_);
   a_ = a_next;
   return value;
 }

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/log.h"
+#include "common/parallel.h"
 #include "common/timer.h"
 
 namespace dreamplace {
@@ -155,6 +156,41 @@ void solveCg(const std::vector<Spring>& springs, Index n, double center,
   }
 }
 
+/// Runs every B2B round of one dimension (kX: x, else y) on its own
+/// coordinate vector `c` (cell lower-left): rebuild the springs at the
+/// current positions, then CG-solve. A chain reads only `db` and its own
+/// `c`, so the x and y chains may run concurrently.
+template <bool kX>
+void runB2bChain(const Database& db, const QuadraticIpOptions& options,
+                 double eps, double center, double reg,
+                 std::size_t maxSprings, std::vector<double>& c) {
+  auto halfSize = [&](Index cell) {
+    return (kX ? db.cellWidth(cell) : db.cellHeight(cell)) / 2;
+  };
+  auto pinOffset = [&](Index p) {
+    return kX ? db.pinOffsetX(p) : db.pinOffsetY(p);
+  };
+  std::vector<Spring> springs;
+  springs.reserve(maxSprings);
+  for (int round = 0; round < options.b2bRounds; ++round) {
+    buildSprings(
+        db, eps,
+        [&](Index p) {
+          const Index cell = db.pinCell(p);
+          return db.isMovable(cell) ? c[cell] + halfSize(cell) + pinOffset(p)
+                                    : (kX ? db.pinX(p) : db.pinY(p));
+        },
+        [&](Index p) {
+          const Index cell = db.pinCell(p);
+          return db.isMovable(cell) ? cell : kInvalidIndex;
+        },
+        [&](Index p) { return halfSize(db.pinCell(p)) + pinOffset(p); },
+        springs);
+    solveCg(springs, db.numMovable(), center, reg, options.cgIterations,
+            options.cgTolerance, c);
+  }
+}
+
 }  // namespace
 
 template <typename T>
@@ -176,55 +212,28 @@ void quadraticInitialPlacement(const Database& db,
     cy[i] = static_cast<double>(y[i]) - db.cellHeight(i) / 2;
   }
 
-  const double eps_x = options.epsilonFactor * die.width();
-  const double eps_y = options.epsilonFactor * die.height();
+  // A net of degree p yields at most 2*(p-1) springs per round.
+  std::size_t maxSprings = 0;
+  for (Index e = 0; e < db.numNets(); ++e) {
+    const Index degree = db.netPinEnd(e) - db.netPinBegin(e);
+    if (degree >= 2) {
+      maxSprings += 2 * static_cast<std::size_t>(degree - 1);
+    }
+  }
   // Weak center regularization: keeps anchorless components placeable and
   // the system strictly SPD. Scaled against typical B2B weights.
   const double reg = 1e-4;
-
-  std::vector<Spring> springs;
-  for (int round = 0; round < options.b2bRounds; ++round) {
-    // --- x dimension ---
-    buildSprings(
-        db, eps_x,
-        [&](Index p) {
-          const Index c = db.pinCell(p);
-          return db.isMovable(c)
-                     ? cx[c] + db.cellWidth(c) / 2 + db.pinOffsetX(p)
-                     : db.pinX(p);
-        },
-        [&](Index p) {
-          const Index c = db.pinCell(p);
-          return db.isMovable(c) ? c : kInvalidIndex;
-        },
-        [&](Index p) {
-          const Index c = db.pinCell(p);
-          return db.cellWidth(c) / 2 + db.pinOffsetX(p);
-        },
-        springs);
-    solveCg(springs, n, die.centerX(), reg, options.cgIterations,
-            options.cgTolerance, cx);
-    // --- y dimension ---
-    buildSprings(
-        db, eps_y,
-        [&](Index p) {
-          const Index c = db.pinCell(p);
-          return db.isMovable(c)
-                     ? cy[c] + db.cellHeight(c) / 2 + db.pinOffsetY(p)
-                     : db.pinY(p);
-        },
-        [&](Index p) {
-          const Index c = db.pinCell(p);
-          return db.isMovable(c) ? c : kInvalidIndex;
-        },
-        [&](Index p) {
-          const Index c = db.pinCell(p);
-          return db.cellHeight(c) / 2 + db.pinOffsetY(p);
-        },
-        springs);
-    solveCg(springs, n, die.centerY(), reg, options.cgIterations,
-            options.cgTolerance, cy);
-  }
+  // The two dimensions are independent systems: one task per chain, so
+  // the result is the serial x-then-y result at any thread count.
+  parallelFor("gp/init/b2b_dims", 2, 1, [&](Index dim) {
+    if (dim == 0) {
+      runB2bChain<true>(db, options, options.epsilonFactor * die.width(),
+                        die.centerX(), reg, maxSprings, cx);
+    } else {
+      runB2bChain<false>(db, options, options.epsilonFactor * die.height(),
+                         die.centerY(), reg, maxSprings, cy);
+    }
+  });
 
   for (Index i = 0; i < n; ++i) {
     // cx/cy are center-of-pin-frame solutions; convert back to centers and

@@ -13,6 +13,11 @@
 // match HPWL at the current positions. The resulting SPD system is solved
 // matrix-free with Jacobi-preconditioned conjugate gradient; bounds and
 // weights are refreshed for a few rounds.
+//
+// Parallelism (docs/PARALLEL.md): the x and y systems are independent,
+// so each dimension's chain of rounds runs as one pool task; the result
+// is bit-identical at any thread count. The CG matrix-vector product
+// stays serial: each step is too short to repay a fork-join.
 #pragma once
 
 #include <vector>

@@ -41,8 +41,10 @@ DensityOp<T>::DensityOp(const Database& db, const DensityGrid<T>& grid,
       total_movable_area_(db.totalMovableArea()) {
   DP_ASSERT(num_nodes_ >= db.numMovable());
   map_.resize(static_cast<size_t>(grid.mx) * grid.my);
+  overflow_map_.resize(map_.size());
   mem_.set(static_cast<std::int64_t>(
-      (map_.capacity() + fixed_map_.capacity()) * sizeof(T)));
+      (map_.capacity() + fixed_map_.capacity() + overflow_map_.capacity()) *
+      sizeof(T)));
 }
 
 template <typename T>
@@ -64,9 +66,8 @@ double DensityOp<T>::evaluate(std::span<const T> params, std::span<T> grad) {
     // Attribute the solution buffers once they reach steady-state size
     // (set() is a no-op when nothing changed).
     mem_.set(static_cast<std::int64_t>(
-        (map_.capacity() + fixed_map_.capacity() +
-         solution_.potential.capacity() + solution_.fieldX.capacity() +
-         solution_.fieldY.capacity()) *
+        (map_.capacity() + fixed_map_.capacity() + overflow_map_.capacity() +
+         solution_.fieldX.capacity() + solution_.fieldY.capacity()) *
         sizeof(T)));
   }
   {
@@ -82,9 +83,9 @@ template <typename T>
 double DensityOp<T>::overflow(std::span<const T> params) const {
   const T* x = params.data();
   const T* y = params.data() + num_nodes_;
-  std::vector<T> movable(map_.size(), T(0));
-  builder_.scatter(x, y, 0, db_.numMovable(), movable);
-  return densityOverflow<T>(movable, fixed_map_, builder_.grid(),
+  std::fill(overflow_map_.begin(), overflow_map_.end(), T(0));
+  builder_.scatter(x, y, 0, db_.numMovable(), overflow_map_);
+  return densityOverflow<T>(overflow_map_, fixed_map_, builder_.grid(),
                             options_.targetDensity, total_movable_area_);
 }
 

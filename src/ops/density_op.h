@@ -96,8 +96,11 @@ class DensityOp final : public DensityFunction<T> {
 
   // Workspaces.
   std::vector<T> map_;
+  /// Movable-only map of overflow(); a member so the per-iteration metric
+  /// reuses one buffer instead of allocating a map each call.
+  mutable std::vector<T> overflow_map_;
   PoissonSolution<T> solution_;
-  TrackedBytes mem_{"ops/density/grids"};  ///< density/fixed/solution maps
+  TrackedBytes mem_{"ops/density/grids"};  ///< all maps above
 };
 
 /// Computes the filler cell sizes for a database: total filler area =

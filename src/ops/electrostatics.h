@@ -7,10 +7,11 @@
 // implementing the zero-total-charge compatibility condition (eq. (4c)).
 //
 // Outputs, all in bin-index coordinates:
-//   potential psi(x,y),
 //   fieldX = -d psi / dx  (IDXST along x, IDCT along y),
 //   fieldY = -d psi / dy  (IDCT along x, IDXST along y),
-//   energy = 1/2 sum_b rho_b * psi_b.
+//   energy = 1/2 sum_b rho_b * psi_b, summed over the spectral modes
+//            (docs/ALGORITHMS.md §3), so the potential psi itself is
+//            never transformed back to bins.
 //
 // Maps are row-major with dim0 = x: element (bx, by) at bx*my + by.
 #pragma once
@@ -25,7 +26,6 @@ namespace dreamplace {
 
 template <typename T>
 struct PoissonSolution {
-  std::vector<T> potential;
   std::vector<T> fieldX;
   std::vector<T> fieldY;
   double energy = 0.0;
@@ -55,7 +55,6 @@ class PoissonSolver {
   std::vector<T> wv_;        ///< omega_v = pi*v/my
   std::vector<T> inv_w2_;    ///< 1/(wu^2+wv^2), 0 at DC
   std::vector<T> coeff_;     ///< forward DCT of the density
-  std::vector<T> z_;         ///< scaled modes for the potential
   std::vector<T> zx_;        ///< scaled modes for fieldX
   std::vector<T> zy_;        ///< scaled modes for fieldY
   TrackedBytes mem_{"ops/density/grids"};  ///< spectral workspace bytes

@@ -5,10 +5,35 @@
 #include "common/counters.h"
 #include "common/memory.h"
 #include "common/rng.h"
+#include "fft/dct2d.h"
 #include "ops/electrostatics.h"
 
 namespace dreamplace {
 namespace {
+
+/// Test-side oracle for the potential psi, which the solver does not
+/// materialize: dct2d, the docs/ALGORITHMS.md §3 scaling
+/// z = 4 coeff / (mx my (wu^2 + wv^2)) with z_00 = 0, then idct2d.
+template <typename T>
+std::vector<T> potentialOracle(
+    const std::vector<T>& rho, int mx, int my,
+    fft::Dct2dAlgorithm algo = fft::Dct2dAlgorithm::kFft2dN) {
+  fft::Dct2dPlan<T> plan(mx, my, algo);
+  std::vector<T> z(rho.size());
+  plan.dct2d(rho.data(), z.data());
+  const T norm = T(4) / (static_cast<T>(mx) * static_cast<T>(my));
+  for (int u = 0; u < mx; ++u) {
+    for (int v = 0; v < my; ++v) {
+      const T wu = static_cast<T>(M_PI * u / mx);
+      const T wv = static_cast<T>(M_PI * v / my);
+      T& zi = z[static_cast<size_t>(u) * my + v];
+      zi = (u == 0 && v == 0) ? T(0) : norm * zi / (wu * wu + wv * wv);
+    }
+  }
+  std::vector<T> psi(rho.size());
+  plan.idct2d(z.data(), psi.data());
+  return psi;
+}
 
 /// Parameterized over (grid size, mode u, mode v): a single cosine mode
 /// rho(x,y) = cos(wu*(x+1/2)) cos(wv*(y+1/2)) is an eigenfunction of the
@@ -31,13 +56,14 @@ TEST_P(PoissonModeTest, SingleModeSolvedExactly) {
   PoissonSolver<double> solver(m, m);
   PoissonSolution<double> sol;
   solver.solve(rho, sol);
+  const std::vector<double> potential = potentialOracle(rho, m, m);
 
   const double w2 = wu * wu + wv * wv;
   for (int x = 0; x < m; ++x) {
     for (int y = 0; y < m; ++y) {
       const size_t i = static_cast<size_t>(x) * m + y;
       const double psi = rho[i] / w2;
-      ASSERT_NEAR(sol.potential[i], psi, 1e-9) << x << "," << y;
+      ASSERT_NEAR(potential[i], psi, 1e-9) << x << "," << y;
       const double ex = wu / w2 * std::sin(wu * (x + 0.5)) *
                         std::cos(wv * (y + 0.5));
       const double ey = wv / w2 * std::cos(wu * (x + 0.5)) *
@@ -61,8 +87,9 @@ TEST(PoissonTest, UniformDensityGivesZeroField) {
   PoissonSolver<double> solver(m, m);
   PoissonSolution<double> sol;
   solver.solve(rho, sol);
+  const std::vector<double> potential = potentialOracle(rho, m, m);
   for (size_t i = 0; i < rho.size(); ++i) {
-    ASSERT_NEAR(sol.potential[i], 0.0, 1e-9);
+    ASSERT_NEAR(potential[i], 0.0, 1e-9);
     ASSERT_NEAR(sol.fieldX[i], 0.0, 1e-9);
     ASSERT_NEAR(sol.fieldY[i], 0.0, 1e-9);
   }
@@ -85,8 +112,10 @@ TEST(PoissonTest, DcOffsetIsIrrelevant) {
   PoissonSolution<double> a, b;
   solver.solve(rho, a);
   solver.solve(shifted, b);
+  const std::vector<double> pa = potentialOracle(rho, m, m);
+  const std::vector<double> pb = potentialOracle(shifted, m, m);
   for (size_t i = 0; i < rho.size(); ++i) {
-    ASSERT_NEAR(a.potential[i], b.potential[i], 1e-8);
+    ASSERT_NEAR(pa[i], pb[i], 1e-8);
     ASSERT_NEAR(a.fieldX[i], b.fieldX[i], 1e-8);
   }
 }
@@ -113,14 +142,26 @@ TEST(PoissonTest, PotentialHasZeroMean) {
   for (double& r : rho) {
     r = rng.uniform(0, 2);
   }
+  const std::vector<double> potential = potentialOracle(rho, m, m);
+  double mean = 0;
+  for (double p : potential) {
+    mean += p;
+  }
+  EXPECT_NEAR(mean / potential.size(), 0.0, 1e-9);
+  // A zero-mean psi makes the energy blind to the mean of rho: the
+  // solver's energy equals 1/2 sum (rho - mean rho) psi.
+  double rho_mean = 0;
+  for (double r : rho) {
+    rho_mean += r / rho.size();
+  }
+  double centered = 0;
+  for (size_t i = 0; i < rho.size(); ++i) {
+    centered += 0.5 * (rho[i] - rho_mean) * potential[i];
+  }
   PoissonSolver<double> solver(m, m);
   PoissonSolution<double> sol;
   solver.solve(rho, sol);
-  double mean = 0;
-  for (double p : sol.potential) {
-    mean += p;
-  }
-  EXPECT_NEAR(mean / sol.potential.size(), 0.0, 1e-9);
+  EXPECT_NEAR(sol.energy, centered, 1e-9 * std::abs(centered));
 }
 
 TEST(PoissonTest, FieldIsDiscreteGradientOfPotential) {
@@ -137,13 +178,13 @@ TEST(PoissonTest, FieldIsDiscreteGradientOfPotential) {
   PoissonSolver<double> solver(m, m);
   PoissonSolution<double> sol;
   solver.solve(rho, sol);
+  const std::vector<double> potential = potentialOracle(rho, m, m);
   double max_err = 0;
   double max_field = 0;
   for (int x = 2; x < m - 2; ++x) {
     for (int y = 2; y < m - 2; ++y) {
-      const double dpsi_dx = (sol.potential[(x + 1) * m + y] -
-                              sol.potential[(x - 1) * m + y]) /
-                             2.0;
+      const double dpsi_dx =
+          (potential[(x + 1) * m + y] - potential[(x - 1) * m + y]) / 2.0;
       const double err = std::abs(-dpsi_dx - sol.fieldX[x * m + y]);
       max_err = std::max(max_err, err);
       max_field = std::max(max_field, std::abs(sol.fieldX[x * m + y]));
@@ -161,11 +202,13 @@ TEST(PoissonTest, AllDctAlgorithmsAgree) {
   }
   PoissonSolution<double> ref, other;
   PoissonSolver<double>(m, m, fft::Dct2dAlgorithm::kFft2dN).solve(rho, ref);
+  const std::vector<double> ref_potential = potentialOracle(rho, m, m);
   for (auto algo : {fft::Dct2dAlgorithm::kRowCol2N,
                     fft::Dct2dAlgorithm::kRowColN}) {
     PoissonSolver<double>(m, m, algo).solve(rho, other);
+    const std::vector<double> potential = potentialOracle(rho, m, m, algo);
     for (size_t i = 0; i < rho.size(); ++i) {
-      ASSERT_NEAR(other.potential[i], ref.potential[i], 1e-8);
+      ASSERT_NEAR(potential[i], ref_potential[i], 1e-8);
       ASSERT_NEAR(other.fieldX[i], ref.fieldX[i], 1e-8);
       ASSERT_NEAR(other.fieldY[i], ref.fieldY[i], 1e-8);
     }
@@ -211,6 +254,33 @@ TEST(PoissonTest, SolveIsAllocationFreeAfterFirstCall) {
   }
 }
 
+TEST(PoissonTest, SolveRunsOneForwardAndTwoFieldTransforms) {
+  // The potential is never transformed back to bins: a solve is one
+  // dct2d plus the two field inverses. Only the row-column algorithms
+  // call idct2d, twice, inside those field inverses.
+  const int m = 16;
+  std::vector<double> rho(static_cast<size_t>(m) * m, 0.5);
+  rho[3] = 2.0;
+  auto& reg = CounterRegistry::instance();
+  for (auto algo : {fft::Dct2dAlgorithm::kFft2dN,
+                    fft::Dct2dAlgorithm::kRowCol2N,
+                    fft::Dct2dAlgorithm::kRowColN}) {
+    SCOPED_TRACE(static_cast<int>(algo));
+    PoissonSolver<double> solver(m, m, algo);
+    PoissonSolution<double> sol;
+    const auto dct = reg.value("fft/dct2d");
+    const auto idct = reg.value("fft/idct2d");
+    const auto idct_idxst = reg.value("fft/idct_idxst");
+    const auto idxst_idct = reg.value("fft/idxst_idct");
+    solver.solve(rho, sol);
+    EXPECT_EQ(reg.value("fft/dct2d"), dct + 1);
+    EXPECT_EQ(reg.value("fft/idct_idxst"), idct_idxst + 1);
+    EXPECT_EQ(reg.value("fft/idxst_idct"), idxst_idct + 1);
+    EXPECT_EQ(reg.value("fft/idct2d"),
+              idct + (algo == fft::Dct2dAlgorithm::kFft2dN ? 0 : 2));
+  }
+}
+
 TEST(PoissonFloatTest, SinglePrecisionTracksDouble) {
   const int m = 32;
   Rng rng(37);
@@ -226,11 +296,54 @@ TEST(PoissonFloatTest, SinglePrecisionTracksDouble) {
   PoissonSolution<double> b;
   s32.solve(rho32, a);
   s64.solve(rho64, b);
+  const std::vector<float> pa = potentialOracle(rho32, m, m);
+  const std::vector<double> pb = potentialOracle(rho64, m, m);
   double err = 0;
   for (size_t i = 0; i < rho32.size(); ++i) {
-    err = std::max(err, std::abs(a.potential[i] - b.potential[i]));
+    err = std::max(err, std::abs(pa[i] - pb[i]));
+    err = std::max(err, std::abs(a.fieldX[i] - b.fieldX[i]));
+    err = std::max(err, std::abs(a.fieldY[i] - b.fieldY[i]));
   }
   EXPECT_LT(err, 1e-2);
+}
+
+/// The solver sums the energy over spectral modes (docs/ALGORITHMS.md §3);
+/// it must equal the real-space 1/2 sum_b rho_b psi_b of the oracle
+/// potential, for every algorithm and on non-square grids.
+template <typename T>
+void expectEnergyMatchesRealSpaceSum(double rel_tol) {
+  const std::pair<int, int> grids[] = {{32, 32}, {32, 16}, {16, 64}};
+  for (auto algo : {fft::Dct2dAlgorithm::kFft2dN,
+                    fft::Dct2dAlgorithm::kRowColN,
+                    fft::Dct2dAlgorithm::kRowCol2N}) {
+    for (const auto& [mx, my] : grids) {
+      SCOPED_TRACE(::testing::Message()
+                   << "algo " << static_cast<int>(algo) << ", " << mx << "x"
+                   << my);
+      Rng rng(43 + mx + my);
+      std::vector<T> rho(static_cast<size_t>(mx) * my);
+      std::vector<double> rho64(rho.size());
+      for (size_t i = 0; i < rho.size(); ++i) {
+        rho[i] = static_cast<T>(rng.uniform(0, 1));
+        rho64[i] = static_cast<double>(rho[i]);
+      }
+      PoissonSolver<T> solver(mx, my, algo);
+      PoissonSolution<T> sol;
+      solver.solve(rho, sol);
+      const std::vector<double> psi = potentialOracle(rho64, mx, my, algo);
+      double expected = 0.0;
+      for (size_t i = 0; i < rho64.size(); ++i) {
+        expected += 0.5 * rho64[i] * psi[i];
+      }
+      ASSERT_GT(expected, 0.0);
+      EXPECT_NEAR(sol.energy, expected, rel_tol * expected);
+    }
+  }
+}
+
+TEST(PoissonTest, EnergyMatchesRealSpaceSum) {
+  expectEnergyMatchesRealSpaceSum<double>(1e-9);
+  expectEnergyMatchesRealSpaceSum<float>(1e-4);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "db/metrics.h"
 #include "gen/netlist_generator.h"
 #include "gp/quadratic_ip.h"
@@ -110,6 +111,40 @@ TEST(QuadraticIpTest, SinglePrecisionWorks) {
   for (Index i = 0; i < n; ++i) {
     ASSERT_TRUE(std::isfinite(x[i]) && std::isfinite(y[i]));
   }
+}
+
+/// The x and y chains run as two pool tasks that share only the const
+/// database, so every coordinate must match the serial result to the
+/// last bit at any thread count, in both precisions.
+template <typename T>
+void expectBitIdenticalAcrossThreadCounts() {
+  auto db = design(121, 600);
+  const Index n = db->numMovable();
+  auto run = [&](int threads) {
+    ThreadPool::instance().setThreads(threads);
+    // Start from the generator's placement so x and y begin asymmetric.
+    std::vector<T> x(n), y(n);
+    for (Index i = 0; i < n; ++i) {
+      x[i] = static_cast<T>(db->cellX(i) + db->cellWidth(i) / 2);
+      y[i] = static_cast<T>(db->cellY(i) + db->cellHeight(i) / 2);
+    }
+    quadraticInitialPlacement<T>(*db, QuadraticIpOptions{}, x, y);
+    return std::make_pair(x, y);
+  };
+  const auto serial = run(1);
+  for (const int threads : {2, 4}) {
+    const auto pooled = run(threads);
+    for (Index i = 0; i < n; ++i) {
+      EXPECT_EQ(serial.first[i], pooled.first[i]) << threads << " threads";
+      EXPECT_EQ(serial.second[i], pooled.second[i]) << threads << " threads";
+    }
+  }
+  ThreadPool::instance().setThreads(0);
+}
+
+TEST(QuadraticIpTest, BitIdenticalAcrossThreadCounts) {
+  expectBitIdenticalAcrossThreadCounts<double>();
+  expectBitIdenticalAcrossThreadCounts<float>();
 }
 
 }  // namespace
