@@ -8,9 +8,10 @@
 #include "common/timer.h"
 #include "gen/netlist_generator.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dreamplace;
   using namespace dreamplace::bench;
+  TelemetrySession session(argc, argv);
 
   const double scale = benchScale(0.01);
   std::printf("Ablation: initial placement strategy (scale %.3f)\n\n",
@@ -32,6 +33,7 @@ int main() {
       PlacerOptions options;
       options.gp = dreamplaceFastGp();
       options.gp.init = init;
+      session.attach(options, entry.name);
       RunReport report;
       results[i] = placeWithReport(*db, options, report);
       ip_seconds[i] = timingTotal(report, "gp/init");

@@ -7,9 +7,10 @@
 #include "bench_util.h"
 #include "gen/netlist_generator.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dreamplace;
   using namespace dreamplace::bench;
+  TelemetrySession session(argc, argv);
 
   const double scale = benchScale(0.01);
   std::printf("Ablation: lambda (density weight) schedule (scale %.3f)\n\n",
@@ -28,6 +29,7 @@ int main() {
       PlacerOptions options;
       options.gp = dreamplaceFastGp();
       options.gp.tcadMuVariant = tcad;
+      session.attach(options, entry.name);
       results[i] = placeDesign(*db, options);
       ++i;
     }

@@ -11,9 +11,10 @@
 #include "common/timer.h"
 #include "gen/netlist_generator.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dreamplace;
   using namespace dreamplace::bench;
+  TelemetrySession session(argc, argv);
 
   const double scale = benchScale(0.01);
   std::printf("Table III: industrial suite (scale %.3f, float64)\n", scale);
@@ -47,6 +48,7 @@ int main() {
         GlobalPlacerOptions gp = configs[c].gp;
         gp.maxIterations = 30;
         gp.minIterations = 30;
+        session.attach(gp, entry.name);
         Timer timer;
         GlobalPlacer<double> placer(*db, gp);
         placer.run();
@@ -65,6 +67,7 @@ int main() {
         PlacerOptions options;
         options.precision = Precision::kFloat64;
         options.gp = configs[c].gp;
+        session.attach(options, entry.name);
         row.result = placeDesign(*db, options);
         printFlowRow(row);
       }

@@ -8,9 +8,10 @@
 #include "bench_util.h"
 #include "gen/netlist_generator.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dreamplace;
   using namespace dreamplace::bench;
+  TelemetrySession session(argc, argv);
 
   const double scale = benchScale(0.01);
   std::printf("Table IV: solver comparison on ISPD 2005 suite "
@@ -50,6 +51,7 @@ int main() {
       options.gp.lrDecay =
           large ? solvers[s].decayLarge : solvers[s].decaySmall;
       options.gp.maxIterations = 2000;
+      session.attach(options, entry.name);
       FlowRow row;
       row.design = entry.name;
       row.result = placeDesign(*db, options);

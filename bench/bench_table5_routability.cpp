@@ -10,9 +10,10 @@
 #include "bench_util.h"
 #include "gen/netlist_generator.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace dreamplace;
   using namespace dreamplace::bench;
+  TelemetrySession session(argc, argv);
 
   const double scale = benchScale(0.01);
   std::printf("Table V: DAC 2012 routability-driven placement "
@@ -47,6 +48,7 @@ int main() {
       // derived track budget so the congestion regime matches the DAC
       // 2012 designs (RC a few points above 100 before optimization).
       options.routabilityOptions.router.capacityFactor = 0.8;
+      session.attach(options, entry.name);
       const FlowResult result = placeDesign(*db, options);
       std::printf("%-8s %8d | %12.4e %8.2f | %8.2f %8.2f %8.2f %8.2f %8.2f%s\n",
                   entry.name.c_str(), db->numMovable(), result.sHpwl,

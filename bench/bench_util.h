@@ -49,13 +49,12 @@ namespace dreamplace::bench {
 // Observability exports (docs/OBSERVABILITY.md). All off by default:
 //   --trace=<file>            Chrome trace JSON (chrome://tracing)
 //   --telemetry-jsonl=<file>  per-iteration GP records, one JSON per line
-//   --telemetry-csv=<file>    per-run GP summary rows
 //   --report=<file>           end-of-flow run report JSON (place/report.h)
 //   --report-text=<file>      human-readable rendering of the run report
 //   --threads=N               parallel-runtime worker threads (0 = auto)
 //   --log-level=LEVEL         debug|info|warn|error|silent
 // Environment fallbacks: DREAMPLACE_TRACE, DREAMPLACE_TELEMETRY_JSONL,
-// DREAMPLACE_TELEMETRY_CSV, DREAMPLACE_REPORT, DREAMPLACE_REPORT_TEXT,
+// DREAMPLACE_REPORT, DREAMPLACE_REPORT_TEXT,
 // DREAMPLACE_THREADS, DREAMPLACE_LOG_LEVEL, DREAMPLACE_LOG_JSON.
 // Any other flag except --json=<file> and --benchmark_* exits with status
 // 2 and names the flag.
@@ -67,7 +66,6 @@ namespace dreamplace::bench {
 struct BenchFlags {
   std::string traceFile;
   std::string jsonlFile;
-  std::string csvFile;
   std::string reportFile;
   std::string reportTextFile;
   int threads = 0;  ///< 0 = auto (DREAMPLACE_THREADS / hw concurrency).
@@ -92,7 +90,6 @@ inline BenchFlags parseBenchFlags(int argc, char** argv) {
   };
   args.traceFile = fromEnv("DREAMPLACE_TRACE");
   args.jsonlFile = fromEnv("DREAMPLACE_TELEMETRY_JSONL");
-  args.csvFile = fromEnv("DREAMPLACE_TELEMETRY_CSV");
   args.reportFile = fromEnv("DREAMPLACE_REPORT");
   args.reportTextFile = fromEnv("DREAMPLACE_REPORT_TEXT");
   for (int i = 1; i < argc; ++i) {
@@ -105,8 +102,6 @@ inline BenchFlags parseBenchFlags(int argc, char** argv) {
       args.traceFile = v;
     } else if (const char* v = match("--telemetry-jsonl=")) {
       args.jsonlFile = v;
-    } else if (const char* v = match("--telemetry-csv=")) {
-      args.csvFile = v;
     } else if (const char* v = match("--report-text=")) {
       args.reportTextFile = v;
     } else if (const char* v = match("--report=")) {
@@ -129,10 +124,11 @@ inline BenchFlags parseBenchFlags(int argc, char** argv) {
   return args;
 }
 
-/// RAII bench telemetry session: enables trace recording and opens the
-/// requested sinks for the program's lifetime; writes the trace file and
-/// flushes on destruction. sink() is null when nothing was requested, so
-/// an unconfigured bench pays nothing.
+/// RAII bench telemetry session: enables the default context's (session-
+/// wide) trace recorder and opens the JSONL sink for the program's
+/// lifetime; writes the trace file and flushes on destruction. sink() is
+/// null when no JSONL file was requested, so an unconfigured bench pays
+/// nothing.
 class TelemetrySession {
  public:
   explicit TelemetrySession(const BenchFlags& args)
@@ -145,19 +141,13 @@ class TelemetrySession {
     try {
       if (!args.jsonlFile.empty()) {
         jsonl_ = std::make_unique<JsonlTelemetrySink>(args.jsonlFile);
-        mux_.addSink(jsonl_.get());
-      }
-      if (!args.csvFile.empty()) {
-        csv_ = std::make_unique<CsvTelemetrySink>(args.csvFile);
-        mux_.addSink(csv_.get());
       }
     } catch (const std::exception& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       std::exit(1);
     }
     if (!trace_file_.empty()) {
-      TraceRecorder::instance().setEnabled(true);
-      mux_.addSink(&trace_sink_);
+      FlowContext::defaultContext().trace().setEnabled(true);
     }
     // --threads=N beats DREAMPLACE_THREADS (the pool itself reads the env
     // var when the request is 0/auto, so 0 needs no action here).
@@ -171,7 +161,7 @@ class TelemetrySession {
 
   ~TelemetrySession() {
     if (!trace_file_.empty()) {
-      TraceRecorder& trace = TraceRecorder::instance();
+      TraceRecorder& trace = FlowContext::defaultContext().trace();
       trace.setEnabled(false);
       if (trace.writeJson(trace_file_)) {
         std::printf("trace written to %s\n", trace_file_.c_str());
@@ -181,7 +171,7 @@ class TelemetrySession {
     }
   }
 
-  TelemetrySink* sink() { return mux_.empty() ? nullptr : &mux_; }
+  TelemetrySink* sink() { return jsonl_.get(); }
 
   /// Installs the session's sink into GP options under `label`.
   void attach(GlobalPlacerOptions& gp, const std::string& label) {
@@ -190,8 +180,8 @@ class TelemetrySession {
   }
 
   /// Installs the session's exports into flow options under `label`.
-  /// (File sinks are owned here, so only the extra sink is forwarded; the
-  /// run report is assembled by placeDesign itself, so its paths are.)
+  /// (The JSONL sink is owned here and forwarded; the run report is
+  /// assembled by placeDesign itself, so its paths are.)
   void attach(PlacerOptions& options, const std::string& label) {
     options.telemetry = sink();
     options.telemetryLabel = label;
@@ -200,10 +190,7 @@ class TelemetrySession {
   }
 
  private:
-  TelemetryMux mux_;
   std::unique_ptr<JsonlTelemetrySink> jsonl_;
-  std::unique_ptr<CsvTelemetrySink> csv_;
-  TraceTelemetrySink trace_sink_;
   std::string trace_file_;
   std::string report_file_;
   std::string report_text_file_;
@@ -285,7 +272,8 @@ class BenchJsonWriter {
   /// Records every counter whose key starts with `prefix` (call multiple
   /// times to merge several subsystems into the snapshot).
   void addCounterPrefix(const std::string& prefix) {
-    for (const auto& [key, value] : CounterRegistry::instance().snapshot()) {
+    for (const auto& [key, value] :
+         FlowContext::current().counters().snapshot()) {
       if (key.compare(0, prefix.size(), prefix) == 0) {
         counters_.push_back({key, value});
       }

@@ -4,9 +4,6 @@
 
 namespace dreamplace {
 
-// CounterRegistry::instance() is defined in flow_context.cpp: it returns
-// the default FlowContext's registry.
-
 std::atomic<CounterRegistry::Value>& CounterRegistry::counter(
     std::string_view key) {
   std::lock_guard<std::mutex> lock(mutex_);

@@ -7,8 +7,8 @@
 // so prefix sums work the same way.
 //
 // Registries are per-flow: each FlowContext (common/flow_context.h) owns
-// one, and instance() returns the default context's registry so legacy
-// call sites keep working. Counter handles therefore hold the *key*, not
+// one, reached through FlowContext::counters(). Counter handles therefore
+// hold the *key*, not
 // a cell address, and resolve the current context's registry on every
 // add() — the same static Counter in a hot kernel charges whichever flow
 // runs on the calling thread. Counters fire per event (op call, FFT
@@ -34,9 +34,6 @@ class CounterRegistry {
   CounterRegistry() = default;
   CounterRegistry(const CounterRegistry&) = delete;
   CounterRegistry& operator=(const CounterRegistry&) = delete;
-
-  /// The default FlowContext's registry (legacy process-wide accessor).
-  static CounterRegistry& instance();
 
   /// Returns the counter cell for `key`, creating it at zero. The address
   /// stays valid for the registry lifetime (clear() zeroes, never erases).

@@ -105,22 +105,4 @@ std::shared_ptr<MemoryTracker> currentMemoryTrackerPtr() {
 
 ThreadPool& currentThreadPool() { return FlowContext::current().pool(); }
 
-// --- Legacy singleton accessors: the default context's registries ----------
-
-CounterRegistry& CounterRegistry::instance() {
-  return FlowContext::defaultContext().counters();
-}
-
-TimingRegistry& TimingRegistry::instance() {
-  return FlowContext::defaultContext().timing();
-}
-
-TraceRecorder& TraceRecorder::instance() {
-  return FlowContext::defaultContext().trace();
-}
-
-MemoryTracker& MemoryTracker::instance() {
-  return FlowContext::defaultContext().memory();
-}
-
 }  // namespace dreamplace

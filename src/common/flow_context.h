@@ -12,11 +12,10 @@
 // Resolution model (lock-free, one thread-local read):
 //   * FlowContext::current() returns the context installed on this thread
 //     by a FlowContextScope, falling back to the process-wide default
-//     context.
-//   * The legacy CounterRegistry::instance() / TimingRegistry::instance()
-//     / TraceRecorder::instance() / MemoryTracker::instance() accessors
-//     now return the *default* context's registries, so every pre-context
-//     call site and test keeps its exact behavior.
+//     context (defaultContext()). A FlowContext is the only way to reach
+//     a registry: there are no per-registry singletons. Tests install a
+//     test-local context; work outside any flow (Bookshelf reads before
+//     placeDesign, a bench's session-wide trace) lands on the default.
 //   * Instrumentation primitives (Counter, ScopedTimer, TraceScope,
 //     TrackedBytes) resolve the current context per call instead of
 //     caching a registry reference, so the same static Counter in a hot
@@ -105,8 +104,7 @@ class FlowContext {
   const HeartbeatState& heartbeat() const { return heartbeat_; }
   ThreadPool& pool();
 
-  /// True for the process-wide default context backing the legacy
-  /// X::instance() accessors.
+  /// True for the process-wide default context.
   bool isDefault() const;
 
   // --- Cooperative interruption -------------------------------------------
@@ -132,8 +130,9 @@ class FlowContext {
   /// The context installed on this thread (by FlowContextScope or a pool
   /// job), or the default context.
   static FlowContext& current();
-  /// Process-wide context backing the legacy singleton accessors. Never
-  /// destroyed, so releases from thread-local caches at exit stay safe.
+  /// Process-wide context current on threads with no installed scope; it
+  /// owns the shared trace recorder. Never destroyed, so releases from
+  /// thread-local caches at exit stay safe.
   static FlowContext& defaultContext();
 
  private:

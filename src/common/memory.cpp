@@ -28,9 +28,6 @@ ProcessMemory sampleProcessMemory() {
   return mem;
 }
 
-// MemoryTracker::instance() is defined in flow_context.cpp: it returns
-// the default FlowContext's tracker.
-
 void MemoryTracker::adjust(const std::string& key, std::int64_t deltaBytes) {
   std::int64_t current = 0;
   {

@@ -52,9 +52,6 @@ class MemoryTracker {
   MemoryTracker(const MemoryTracker&) = delete;
   MemoryTracker& operator=(const MemoryTracker&) = delete;
 
-  /// The default FlowContext's tracker (legacy process-wide accessor).
-  static MemoryTracker& instance();
-
   /// Adjusts `key` by `deltaBytes` (negative to release). Clamps current
   /// at zero so a stray double-release cannot corrupt the registry.
   void adjust(const std::string& key, std::int64_t deltaBytes);

@@ -46,9 +46,6 @@ ScopedTimer::~ScopedTimer() {
   }
 }
 
-// TimingRegistry::instance() is defined in flow_context.cpp: it returns
-// the default FlowContext's registry.
-
 void TimingRegistry::add(const std::string& key, double seconds) {
   addScope(key, seconds, seconds, /*root=*/true);
 }

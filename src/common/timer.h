@@ -78,9 +78,6 @@ class TimingRegistry {
   TimingRegistry(const TimingRegistry&) = delete;
   TimingRegistry& operator=(const TimingRegistry&) = delete;
 
-  /// The default FlowContext's registry (legacy process-wide accessor).
-  static TimingRegistry& instance();
-
   /// Manual accumulation: treated as a leaf root scope (self == inclusive,
   /// one call). Source-compatible with pre-profiler call sites.
   void add(const std::string& key, double seconds);

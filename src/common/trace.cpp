@@ -6,9 +6,6 @@
 
 namespace dreamplace {
 
-// TraceRecorder::instance() is defined in flow_context.cpp: it returns
-// the default FlowContext's recorder.
-
 TraceRecorder::TraceRecorder() : epoch_(std::chrono::steady_clock::now()) {}
 
 void TraceRecorder::setEnabled(bool enabled) {

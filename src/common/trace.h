@@ -35,7 +35,7 @@ struct TraceEvent {
 };
 
 /// Trace-event collector. The process has one shared default recorder
-/// (instance(), owned by the default FlowContext); flows that request a
+/// (owned by FlowContext::defaultContext()); flows that request a
 /// trace file get a private recorder so concurrent timelines stay
 /// isolated (common/flow_context.h).
 ///
@@ -56,9 +56,6 @@ class TraceRecorder {
   TraceRecorder();
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
-
-  /// The shared default recorder (legacy process-wide accessor).
-  static TraceRecorder& instance();
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   /// Enabling (re)starts the time epoch so timestamps start near zero.

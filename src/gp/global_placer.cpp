@@ -269,6 +269,7 @@ GlobalPlacerResult GlobalPlacer<T>::run(const Callback& callback) {
   // watchdog measures divergence against the true starting point even if
   // its first sample lands iterations into the loop.
   HeartbeatState& heartbeat = flow.heartbeat();
+  TraceRecorder& trace = flow.trace();
   heartbeat.beginStage(FlowStage::kGlobalPlacement);
   heartbeat.publishIteration(start_iter - 1, hpwl_seed, overflow);
   for (; iter < options_.maxIterations; ++iter) {
@@ -318,6 +319,15 @@ GlobalPlacerResult GlobalPlacer<T>::run(const Callback& callback) {
       stats.densityOpSeconds = timing.total("gp/op/density") - density_t0;
       telemetry->onIteration(stats);
     }
+    // Counter tracks render the convergence curves above the kernel
+    // timeline, the way ScopedTimer renders its scopes.
+    if (trace.enabled()) {
+      trace.counterEvent("gp.overflow", overflow);
+      trace.counterEvent("gp.hpwl", cur_hpwl);
+      trace.counterEvent("gp.lambda", lambda);
+      trace.counterEvent("gp.gamma", stats.gamma);
+      trace.counterEvent("gp.step", stats.stepSize);
+    }
     if (options_.verbose && iter % 50 == 0) {
       logInfo("gp iter %4d: hpwl %.4e overflow %.4f lambda %.3e", iter,
               cur_hpwl, overflow, lambda);
@@ -347,14 +357,9 @@ GlobalPlacerResult GlobalPlacer<T>::run(const Callback& callback) {
   result.hpwl = wirelength_->hpwl(std::span<const T>(final_params_));
   result.overflow = overflow;
   result.finalLambda = lambda;
+  result.seconds = run_timer.elapsed();
   if (telemetry) {
-    TelemetryRunSummary summary;
-    summary.iterations = result.iterations;
-    summary.hpwl = result.hpwl;
-    summary.overflow = result.overflow;
-    summary.lambda = result.finalLambda;
-    summary.seconds = run_timer.elapsed();
-    telemetry->onRunEnd(summary);
+    telemetry->onRunEnd(result);
   }
   logInfo("gp: done after %d iterations, hpwl %.4e, overflow %.4f",
           result.iterations, result.hpwl, result.overflow);

@@ -78,13 +78,6 @@ struct GlobalPlacerOptions {
   const std::string* resumeState = nullptr;
 };
 
-struct GlobalPlacerResult {
-  int iterations = 0;
-  double hpwl = 0.0;
-  double overflow = 0.0;
-  double finalLambda = 0.0;  ///< Density weight at termination.
-};
-
 template <typename T>
 class GlobalPlacer {
  public:

@@ -6,24 +6,16 @@
 
 namespace dreamplace {
 
-namespace {
-
-std::FILE* openOrThrow(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    throw std::runtime_error("telemetry: cannot write " + path);
-  }
-  return f;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // JsonlTelemetrySink
 // ---------------------------------------------------------------------------
 
 JsonlTelemetrySink::JsonlTelemetrySink(const std::string& path)
-    : file_(openOrThrow(path)) {}
+    : file_(std::fopen(path.c_str(), "w")) {
+  if (!file_) {
+    throw std::runtime_error("telemetry: cannot write " + path);
+  }
+}
 
 JsonlTelemetrySink::~JsonlTelemetrySink() {
   if (file_) {
@@ -50,77 +42,12 @@ void JsonlTelemetrySink::onIteration(const IterationStats& s) {
                s.densityOpSeconds);
 }
 
-void JsonlTelemetrySink::onRunEnd(const TelemetryRunSummary& s) {
+void JsonlTelemetrySink::onRunEnd(const GlobalPlacerResult& r) {
   std::fprintf(file_,
                "{\"run_end\":true,\"iterations\":%d,\"hpwl\":%.17g,"
                "\"overflow\":%.17g,\"lambda\":%.17g,\"seconds\":%.6g}\n",
-               s.iterations, s.hpwl, s.overflow, s.lambda, s.seconds);
+               r.iterations, r.hpwl, r.overflow, r.finalLambda, r.seconds);
   std::fflush(file_);
-}
-
-// ---------------------------------------------------------------------------
-// CsvTelemetrySink
-// ---------------------------------------------------------------------------
-
-CsvTelemetrySink::CsvTelemetrySink(const std::string& path)
-    : file_(openOrThrow(path)) {
-  std::fprintf(file_, "label,iterations,hpwl,overflow,lambda,seconds\n");
-}
-
-CsvTelemetrySink::~CsvTelemetrySink() {
-  if (file_) {
-    std::fclose(file_);
-  }
-}
-
-void CsvTelemetrySink::onRunBegin(const TelemetryRunInfo& info) {
-  label_ = info.label;
-}
-
-void CsvTelemetrySink::onIteration(const IterationStats& /*stats*/) {}
-
-void CsvTelemetrySink::onRunEnd(const TelemetryRunSummary& s) {
-  std::fprintf(file_, "%s,%d,%.17g,%.17g,%.17g,%.6g\n", label_.c_str(),
-               s.iterations, s.hpwl, s.overflow, s.lambda, s.seconds);
-  std::fflush(file_);
-}
-
-// ---------------------------------------------------------------------------
-// TraceTelemetrySink
-// ---------------------------------------------------------------------------
-
-void TraceTelemetrySink::onIteration(const IterationStats& s) {
-  TraceRecorder& trace = currentTraceRecorder();
-  if (!trace.enabled()) {
-    return;
-  }
-  trace.counterEvent("gp.overflow", s.overflow);
-  trace.counterEvent("gp.hpwl", s.hpwl);
-  trace.counterEvent("gp.lambda", s.lambda);
-  trace.counterEvent("gp.gamma", s.gamma);
-  trace.counterEvent("gp.step", s.stepSize);
-}
-
-// ---------------------------------------------------------------------------
-// TelemetryMux
-// ---------------------------------------------------------------------------
-
-void TelemetryMux::onRunBegin(const TelemetryRunInfo& info) {
-  for (TelemetrySink* sink : sinks_) {
-    sink->onRunBegin(info);
-  }
-}
-
-void TelemetryMux::onIteration(const IterationStats& stats) {
-  for (TelemetrySink* sink : sinks_) {
-    sink->onIteration(stats);
-  }
-}
-
-void TelemetryMux::onRunEnd(const TelemetryRunSummary& summary) {
-  for (TelemetrySink* sink : sinks_) {
-    sink->onRunEnd(summary);
-  }
 }
 
 }  // namespace dreamplace

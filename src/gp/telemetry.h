@@ -6,14 +6,14 @@
 // (overflow, HPWL delta, density weight lambda of eq. (18), the gamma
 // schedule, the Nesterov step size). IterationStats is that record, one
 // per kernel-GP iteration; TelemetrySink is the observer API the loop
-// publishes it through. Concrete sinks export JSONL (one JSON object per
-// iteration), a per-run CSV summary, and chrome://tracing counter tracks.
-// Everything is off by default: a null sink costs the loop one pointer
-// compare per iteration.
+// publishes it through, to exactly one caller-provided sink. The JSONL
+// sink exports one JSON object per iteration. The loop itself emits the
+// gp.* chrome://tracing counter tracks when the flow's trace recorder is
+// enabled, and the flow's run report keeps one GlobalPlacerResult per GP
+// run. A null sink costs the loop one pointer compare per iteration.
 #pragma once
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,13 +45,15 @@ struct TelemetryRunInfo {
   std::string solver;
 };
 
-/// Final outcome of one GP run.
-struct TelemetryRunSummary {
+/// Final outcome of one GP run: what GlobalPlacer::run() returns, what
+/// TelemetrySink::onRunEnd() receives, and one "gp_runs" entry of the run
+/// report.
+struct GlobalPlacerResult {
   int iterations = 0;
   double hpwl = 0.0;
   double overflow = 0.0;
-  double lambda = 0.0;
-  double seconds = 0.0;
+  double finalLambda = 0.0;  ///< Density weight at termination.
+  double seconds = 0.0;      ///< Wall time of the run.
 };
 
 /// Observer of the kernel-GP loop. Implementations must tolerate multiple
@@ -63,7 +65,7 @@ class TelemetrySink {
 
   virtual void onRunBegin(const TelemetryRunInfo& /*info*/) {}
   virtual void onIteration(const IterationStats& stats) = 0;
-  virtual void onRunEnd(const TelemetryRunSummary& /*summary*/) {}
+  virtual void onRunEnd(const GlobalPlacerResult& /*result*/) {}
 };
 
 /// Writes one JSON object per iteration (JSONL). Schema:
@@ -80,52 +82,10 @@ class JsonlTelemetrySink final : public TelemetrySink {
 
   void onRunBegin(const TelemetryRunInfo& info) override;
   void onIteration(const IterationStats& stats) override;
-  void onRunEnd(const TelemetryRunSummary& summary) override;
+  void onRunEnd(const GlobalPlacerResult& result) override;
 
  private:
   std::FILE* file_ = nullptr;
-};
-
-/// Appends one CSV row per GP run (summary, not per-iteration):
-///   label,iterations,hpwl,overflow,lambda,seconds
-class CsvTelemetrySink final : public TelemetrySink {
- public:
-  /// Opens `path` for writing and emits the header; throws on failure.
-  explicit CsvTelemetrySink(const std::string& path);
-  ~CsvTelemetrySink() override;
-
-  void onRunBegin(const TelemetryRunInfo& info) override;
-  void onIteration(const IterationStats& stats) override;
-  void onRunEnd(const TelemetryRunSummary& summary) override;
-
- private:
-  std::FILE* file_ = nullptr;
-  std::string label_;
-};
-
-/// Publishes per-iteration scalars as chrome://tracing counter tracks, so
-/// the overflow/HPWL/lambda curves render above the kernel timeline.
-class TraceTelemetrySink final : public TelemetrySink {
- public:
-  void onIteration(const IterationStats& stats) override;
-};
-
-/// Fans one stats stream out to several sinks (non-owning).
-class TelemetryMux final : public TelemetrySink {
- public:
-  void addSink(TelemetrySink* sink) {
-    if (sink != nullptr) {
-      sinks_.push_back(sink);
-    }
-  }
-  bool empty() const { return sinks_.empty(); }
-
-  void onRunBegin(const TelemetryRunInfo& info) override;
-  void onIteration(const IterationStats& stats) override;
-  void onRunEnd(const TelemetryRunSummary& summary) override;
-
- private:
-  std::vector<TelemetrySink*> sinks_;
 };
 
 /// In-memory sink for tests and programmatic consumers.
@@ -135,20 +95,20 @@ class RecordingTelemetrySink final : public TelemetrySink {
   void onIteration(const IterationStats& stats) override {
     iterations_.push_back(stats);
   }
-  void onRunEnd(const TelemetryRunSummary& summary) override {
-    summaries_.push_back(summary);
+  void onRunEnd(const GlobalPlacerResult& result) override {
+    summaries_.push_back(result);
   }
 
   const std::vector<TelemetryRunInfo>& runs() const { return runs_; }
   const std::vector<IterationStats>& iterations() const { return iterations_; }
-  const std::vector<TelemetryRunSummary>& summaries() const {
+  const std::vector<GlobalPlacerResult>& summaries() const {
     return summaries_;
   }
 
  private:
   std::vector<TelemetryRunInfo> runs_;
   std::vector<IterationStats> iterations_;
-  std::vector<TelemetryRunSummary> summaries_;
+  std::vector<GlobalPlacerResult> summaries_;
 };
 
 }  // namespace dreamplace

@@ -1,8 +1,10 @@
 #include "io/bookshelf_reader.h"
 
 #include <cctype>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -22,18 +24,20 @@ namespace fs = std::filesystem;
 }
 
 /// Reads a file line by line, stripping comments (#) and blank lines, and
-/// skipping the "UCLA <kind> 1.0" header if present.
+/// skipping the "UCLA <kind> 1.0" header if present. Tracks the 1-based
+/// number of the line last returned, for error messages.
 class LineReader {
  public:
   explicit LineReader(const std::string& path) : path_(path), in_(path) {
     if (!in_) {
-      fail(path, "cannot open");
+      dreamplace::fail(path, "cannot open");
     }
   }
 
   /// Next meaningful line; false at EOF.
   bool next(std::string& line) {
     while (std::getline(in_, line)) {
+      ++line_number_;
       const auto hash = line.find('#');
       if (hash != std::string::npos) {
         line.erase(hash);
@@ -55,9 +59,41 @@ class LineReader {
 
   const std::string& path() const { return path_; }
 
+  /// The finite number `token` spells in full, as field `field` of the
+  /// current line; throws naming the file, the line and the field
+  /// otherwise.
+  double number(const std::string& token, const char* field) const {
+    double value = 0.0;
+    std::size_t used = 0;
+    try {
+      value = std::stod(token, &used);
+    } catch (const std::exception&) {
+      used = 0;
+    }
+    if (used == 0 || used != token.size() || !std::isfinite(value)) {
+      fail(field, "'" + token + "' is not a finite number");
+    }
+    return value;
+  }
+
+  /// Like number(), additionally requiring value > 0.
+  double positive(const std::string& token, const char* field) const {
+    const double value = number(token, field);
+    if (value <= 0.0) {
+      fail(field, "must be positive, got " + token);
+    }
+    return value;
+  }
+
+  [[noreturn]] void fail(const char* field, const std::string& what) const {
+    dreamplace::fail(path_, "line " + std::to_string(line_number_) + ": " +
+                                field + ": " + what);
+  }
+
  private:
   std::string path_;
   std::ifstream in_;
+  int line_number_ = 0;
 };
 
 /// Splits on whitespace and the ':' separator (treated as its own token).
@@ -138,8 +174,8 @@ void parseNodes(const std::string& path, Database& db,
     const bool terminal =
         tokens.size() >= 4 &&
         (tokens[3] == "terminal" || tokens[3] == "terminal_NI");
-    const double width = std::stod(tokens[1]);
-    const double height = std::stod(tokens[2]);
+    const double width = reader.positive(tokens[1], "cell width");
+    const double height = reader.positive(tokens[2], "cell height");
     const Index id = db.addCell(tokens[0], width, height, !terminal);
     byName.emplace(tokens[0], id);
   }
@@ -162,7 +198,13 @@ void parseNets(const std::string& path, Database& db,
       if (tokens.size() < 3 || tokens[1] != ":") {
         fail(path, "bad NetDegree line: " + line);
       }
-      remaining = static_cast<Index>(std::stol(tokens[2]));
+      const double degree = reader.number(tokens[2], "NetDegree");
+      if (degree < 0.0 || degree != std::floor(degree) ||
+          degree > std::numeric_limits<Index>::max()) {
+        reader.fail("NetDegree", "must be a non-negative integer, got " +
+                                     tokens[2]);
+      }
+      remaining = static_cast<Index>(degree);
       std::string name =
           tokens.size() >= 4 ? tokens[3] : ("n" + std::to_string(anon++));
       current_net = db.addNet(std::move(name));
@@ -182,8 +224,8 @@ void parseNets(const std::string& path, Database& db,
     for (size_t i = 1; i + 2 < tokens.size() + 0u; ++i) {
       if (tokens[i] == ":") {
         if (i + 2 < tokens.size()) {
-          offx = std::stod(tokens[i + 1]);
-          offy = std::stod(tokens[i + 2]);
+          offx = reader.number(tokens[i + 1], "pin offset x");
+          offy = reader.number(tokens[i + 2], "pin offset y");
         }
         break;
       }
@@ -219,8 +261,8 @@ void parsePl(const std::string& path, Database& db,
     if (it == byName.end()) {
       fail(path, "unknown cell in .pl: " + tokens[0]);
     }
-    db.setCellPosition(it->second, std::stod(tokens[1]),
-                       std::stod(tokens[2]));
+    db.setCellPosition(it->second, reader.number(tokens[1], "x"),
+                       reader.number(tokens[2], "y"));
   }
 }
 
@@ -268,22 +310,22 @@ void parseScl(const std::string& path, Database& db) {
       continue;
     }
     if (tokens[0] == "Coordinate" && tokens.size() >= 3) {
-      row.y = std::stod(tokens[2]);
+      row.y = reader.number(tokens[2], "Coordinate");
     } else if (tokens[0] == "Height" && tokens.size() >= 3) {
-      row.height = std::stod(tokens[2]);
+      row.height = reader.positive(tokens[2], "Height");
     } else if ((tokens[0] == "Sitewidth" || tokens[0] == "Sitespacing") &&
                tokens.size() >= 3) {
-      row.siteWidth = std::stod(tokens[2]);
+      row.siteWidth = reader.number(tokens[2], tokens[0].c_str());
     } else if (tokens[0] == "SubrowOrigin" && tokens.size() >= 3) {
-      row.xl = std::stod(tokens[2]);
+      row.xl = reader.number(tokens[2], "SubrowOrigin");
       // "SubrowOrigin : x NumSites : n" may share a line.
-      for (size_t i = 3; i + 1 < tokens.size(); ++i) {
+      for (size_t i = 3; i + 2 < tokens.size(); ++i) {
         if (tokens[i] == "NumSites" && tokens[i + 1] == ":") {
-          num_sites = std::stod(tokens[i + 2]);
+          num_sites = reader.positive(tokens[i + 2], "NumSites");
         }
       }
     } else if (tokens[0] == "NumSites" && tokens.size() >= 3) {
-      num_sites = std::stod(tokens[2]);
+      num_sites = reader.positive(tokens[2], "NumSites");
     }
   }
   if (!any) {
@@ -307,7 +349,8 @@ void readPlacement(Database& db, const std::string& plPath) {
     if (cell == kInvalidIndex) {
       fail(plPath, "unknown cell in .pl: " + tokens[0]);
     }
-    db.setCellPosition(cell, std::stod(tokens[1]), std::stod(tokens[2]));
+    db.setCellPosition(cell, reader.number(tokens[1], "x"),
+                       reader.number(tokens[2], "y"));
   }
 }
 

@@ -56,6 +56,7 @@ class GlobalPlacementStage final : public PipelineStage {
     const GlobalPlacerResult r = placer.run();
     context.result.gpIterations = r.iterations;
     context.result.overflow = r.overflow;
+    context.gpRuns.push_back(r);
     resume_state_.clear();
     state_.clear();
   }
@@ -92,6 +93,8 @@ class RoutabilityGpStage final : public PipelineStage {
     context.result.nlSeconds = r.nlSeconds;
     context.result.grSeconds = r.grSeconds;
     context.result.rc = r.congestion.rc;
+    context.gpRuns.insert(context.gpRuns.end(), r.gpRuns.begin(),
+                          r.gpRuns.end());
   }
 };
 

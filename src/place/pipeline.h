@@ -35,7 +35,8 @@ struct StageContext {
   Database& db;
   const PlacerOptions& options;
   FlowResult& result;
-  /// GP telemetry sink stack (null = no telemetry).
+  /// The caller's GP telemetry sink, PlacerOptions::telemetry (null =
+  /// none).
   TelemetrySink* telemetry = nullptr;
   /// Flow stopwatch, started when the pipeline starts (a resumed run
   /// therefore reports only the resumed segment's wall time).
@@ -44,6 +45,9 @@ struct StageContext {
   FlowCheckpointer* checkpointer = nullptr;
   /// Index of the running stage, maintained by the pipeline.
   std::size_t stageIndex = 0;
+  /// Every GP run of this flow segment (routability restarts included),
+  /// in order; the run report's "gp_runs".
+  std::vector<GlobalPlacerResult> gpRuns{};
 };
 
 /// One flow stage. Concrete stages live in pipeline.cpp and are reached

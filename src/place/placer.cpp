@@ -1,8 +1,9 @@
 #include "place/placer.h"
 
-#include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/flow_context.h"
 #include "common/log.h"
@@ -17,99 +18,50 @@ namespace dreamplace {
 
 namespace {
 
-/// Collects per-run GP summaries for the end-of-flow report without the
-/// per-iteration storage of RecordingTelemetrySink.
-class GpSummarySink final : public TelemetrySink {
+/// Records the flow's trace when PlacerOptions::traceFile is set: enables
+/// the flow's recorder on construction and writes the file once, in
+/// finish() or (for a flow that throws) the destructor. Constructed with
+/// the flow's context installed, so the trace is the flow's recorder.
+class TraceExport {
  public:
-  void onIteration(const IterationStats& /*stats*/) override {}
-  void onRunEnd(const TelemetryRunSummary& summary) override {
-    summaries_.push_back(summary);
-  }
-
-  const std::vector<TelemetryRunSummary>& summaries() const {
-    return summaries_;
-  }
-
- private:
-  std::vector<TelemetryRunSummary> summaries_;
-};
-
-/// Builds the telemetry sink stack requested by the options and wires it
-/// into the GP options. Owns the file sinks; must outlive the flow run.
-/// Constructed (and destroyed) with the flow's context installed, so the
-/// trace it enables/writes is the *flow's* recorder, not a global one.
-class FlowTelemetry {
- public:
-  FlowTelemetry(const PlacerOptions& options, bool wantSummaries) {
-    if (!options.telemetryJsonl.empty()) {
-      jsonl_ = std::make_unique<JsonlTelemetrySink>(options.telemetryJsonl);
-      mux_.addSink(jsonl_.get());
-    }
-    if (!options.telemetryCsv.empty()) {
-      csv_ = std::make_unique<CsvTelemetrySink>(options.telemetryCsv);
-      mux_.addSink(csv_.get());
-    }
-    if (!options.traceFile.empty()) {
-      trace_file_ = options.traceFile;
+  explicit TraceExport(std::string path) : path_(std::move(path)) {
+    if (!path_.empty()) {
       currentTraceRecorder().setEnabled(true);
-      mux_.addSink(&trace_sink_);
     }
-    if (wantSummaries) {
-      mux_.addSink(&summary_sink_);
-    }
-    mux_.addSink(options.telemetry);
   }
+  ~TraceExport() { finish(); }
 
-  ~FlowTelemetry() {
-    // Backstop for flows that fail before reaching finishTrace(); a
-    // write failure here can only be logged.
-    finishTrace();
-  }
-
-  /// Stops recording and writes the trace file. Returns "" on success or
-  /// when no trace was requested; on failure logs and returns the message
-  /// so the caller can surface it (RunReport warnings — a silently
-  /// missing trace looks identical to a flow that never emitted scopes).
-  /// Idempotent: the file is written (and the failure reported) once.
-  std::string finishTrace() {
-    if (trace_file_.empty()) {
+  /// Stops recording and writes the file. Returns "" on success or when
+  /// no trace was requested; on failure logs and returns the message so
+  /// the caller can put it in the run report's warnings (a silently
+  /// missing trace looks like a flow that never emitted scopes).
+  std::string finish() {
+    if (path_.empty()) {
       return {};
     }
-    const std::string trace_file = std::exchange(trace_file_, {});
+    const std::string path = std::exchange(path_, {});
     TraceRecorder& trace = currentTraceRecorder();
     trace.setEnabled(false);
-    if (!trace.writeJson(trace_file)) {
-      const std::string error = "trace: cannot write " + trace_file;
+    if (!trace.writeJson(path)) {
+      const std::string error = "trace: cannot write " + path;
       logWarn("%s", error.c_str());
       return error;
     }
     return {};
   }
 
-  /// Null when no sink is configured, so the GP loop skips all telemetry.
-  TelemetrySink* sink() { return mux_.empty() ? nullptr : &mux_; }
-
-  /// GP run summaries observed so far (empty unless a report was asked).
-  const std::vector<TelemetryRunSummary>& gpSummaries() const {
-    return summary_sink_.summaries();
-  }
-
  private:
-  TelemetryMux mux_;
-  std::unique_ptr<JsonlTelemetrySink> jsonl_;
-  std::unique_ptr<CsvTelemetrySink> csv_;
-  TraceTelemetrySink trace_sink_;
-  GpSummarySink summary_sink_;
-  std::string trace_file_;
+  std::string path_;
 };
 
 template <typename T>
 FlowResult runFlow(Database& db, const PlacerOptions& options,
-                   FlowTelemetry& telemetry) {
+                   std::vector<GlobalPlacerResult>& gpRuns) {
   FlowResult result;
   FlowPipeline pipeline = buildFlowPipeline<T>(options);
-  StageContext context{db, options, result, telemetry.sink()};
+  StageContext context{db, options, result, options.telemetry};
   pipeline.run(context);
+  gpRuns = std::move(context.gpRuns);
   logInfo("flow: hpwl gp %.4e -> legal %.4e -> final %.4e, legal=%d, "
           "gp %.1fs lg %.1fs dp %.1fs",
           result.hpwlGp, result.hpwlLegal, result.hpwl, result.legal ? 1 : 0,
@@ -253,24 +205,18 @@ FlowResult placeDesign(Database& db, const PlacerOptions& options,
     context.pool().setThreads(options.threads);
   }
   context.markFlowStart();
-  FlowTelemetry telemetry(options, /*wantSummaries=*/reportOut != nullptr ||
-                                       !options.reportJson.empty() ||
-                                       !options.reportText.empty());
-  const bool want_report = reportOut != nullptr ||
-                           !options.reportJson.empty() ||
-                           !options.reportText.empty();
+  TraceExport trace(options.traceFile);
+  std::vector<GlobalPlacerResult> gp_runs;
   const FlowResult result =
       options.precision == Precision::kFloat32
-          ? runFlow<float>(db, options, telemetry)
-          : runFlow<double>(db, options, telemetry);
-  if (want_report) {
-    RunReport report = buildRunReport(db, options, result,
-                                      telemetry.gpSummaries(), context);
-    // Write the trace now (instead of in FlowTelemetry's destructor) so a
-    // failed export lands in the report's warnings array — a run report
-    // that looks clean while the trace silently vanished is the bug this
-    // closes.
-    const std::string trace_error = telemetry.finishTrace();
+          ? runFlow<float>(db, options, gp_runs)
+          : runFlow<double>(db, options, gp_runs);
+  if (reportOut != nullptr || !options.reportJson.empty() ||
+      !options.reportText.empty()) {
+    RunReport report = buildRunReport(db, options, result, gp_runs, context);
+    // Write the trace before the report so a failed export lands in the
+    // report's warnings array.
+    const std::string trace_error = trace.finish();
     if (!trace_error.empty()) {
       report.warnings.push_back(trace_error);
     }

@@ -71,10 +71,6 @@ struct PlacerOptions {
 
   // --- Observability exports (all off by default; see
   // docs/OBSERVABILITY.md) -------------------------------------------------
-  /// Per-iteration GP telemetry as JSONL, one record per iteration.
-  std::string telemetryJsonl;
-  /// Per-run GP summary CSV (one row per GP run, incl. restarts).
-  std::string telemetryCsv;
   /// Chrome trace-event JSON (chrome://tracing / Perfetto) covering the
   /// whole flow: every ScopedTimer scope plus GP counter tracks.
   std::string traceFile;
@@ -85,8 +81,8 @@ struct PlacerOptions {
   std::string reportJson;
   /// Human-readable text rendering of the same report.
   std::string reportText;
-  /// Additional caller-provided sink (non-owning); composed with the
-  /// file exports above.
+  /// Per-iteration GP observer (non-owning; e.g. a JsonlTelemetrySink),
+  /// passed to every GP run as GlobalPlacerOptions::telemetry.
   TelemetrySink* telemetry = nullptr;
   /// Label stamped on telemetry records (design name); defaults to "".
   std::string telemetryLabel;

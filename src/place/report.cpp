@@ -179,8 +179,6 @@ std::string PlacerOptions::toJson() const {
 
   j.key("exports");
   j.openObject();
-  j.key("telemetry_jsonl"); j.value(telemetryJsonl);
-  j.key("telemetry_csv"); j.value(telemetryCsv);
   j.key("trace_file"); j.value(traceFile);
   j.key("report_json"); j.value(reportJson);
   j.key("report_text"); j.value(reportText);
@@ -192,7 +190,7 @@ std::string PlacerOptions::toJson() const {
 
 RunReport buildRunReport(const Database& db, const PlacerOptions& options,
                          const FlowResult& result,
-                         const std::vector<TelemetryRunSummary>& gpRuns,
+                         const std::vector<GlobalPlacerResult>& gpRuns,
                          FlowContext& context) {
   RunReport report;
   report.label = options.telemetryLabel;
@@ -382,12 +380,12 @@ std::string RunReport::toJson() const {
 
   j.key("gp_runs");
   j.openArray();
-  for (const TelemetryRunSummary& run : gpRuns) {
+  for (const GlobalPlacerResult& run : gpRuns) {
     j.openObject();
     j.key("iterations"); j.value(run.iterations);
     j.key("hpwl"); j.value(run.hpwl);
     j.key("overflow"); j.value(run.overflow);
-    j.key("lambda"); j.value(run.lambda);
+    j.key("lambda"); j.value(run.finalLambda);
     j.key("seconds"); j.value(run.seconds);
     j.closeObject();
   }
@@ -528,7 +526,7 @@ std::string RunReport::toText() const {
   if (!gpRuns.empty()) {
     out += "\ngp runs:\n";
     for (std::size_t i = 0; i < gpRuns.size(); ++i) {
-      const TelemetryRunSummary& run = gpRuns[i];
+      const GlobalPlacerResult& run = gpRuns[i];
       std::snprintf(line, sizeof(line),
                     "  #%zu: %d iters, hpwl %.4e, overflow %.4f, %.2fs\n", i,
                     run.iterations, run.hpwl, run.overflow, run.seconds);

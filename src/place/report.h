@@ -3,8 +3,8 @@
 // The paper's evaluation tables are runtime/quality *reports* (per-stage
 // GP/LG/DP/IO columns, per-kernel breakdowns, convergence summaries).
 // RunReport assembles the same facts from the live registries — timing
-// (with self-time and call counts), counters, memory attribution, GP
-// telemetry summaries — plus design/config metadata, and renders them as
+// (with self-time and call counts), counters, memory attribution, one
+// summary per GP run — plus design/config metadata, and renders them as
 // one JSON document and/or a human-readable text summary.
 //
 // Timing and counter sections come from the flow's own FlowContext
@@ -71,7 +71,7 @@ struct RunReport {
   double ioSeconds = 0.0;  ///< Absolute "io/" prefix (read/write scopes).
 
   // GP convergence, one entry per GP run (restarts included).
-  std::vector<TelemetryRunSummary> gpRuns;
+  std::vector<GlobalPlacerResult> gpRuns;
 
   // Parallel runtime (common/parallel.h): configured thread count plus
   // the pool's busy/capacity time over this run (deltas). utilization =
@@ -107,11 +107,11 @@ struct RunReport {
 /// Assembles the report for a finished flow run from `context`, the
 /// FlowContext the flow ran under (its registries hold exactly this
 /// flow's activity; context.markFlowStart() must have been called at flow
-/// start for the pool section). `gpRuns` are the telemetry summaries
-/// observed during the run.
+/// start for the pool section). `gpRuns` are the flow's GP runs, in
+/// order (StageContext::gpRuns).
 RunReport buildRunReport(const Database& db, const PlacerOptions& options,
                          const FlowResult& result,
-                         const std::vector<TelemetryRunSummary>& gpRuns,
+                         const std::vector<GlobalPlacerResult>& gpRuns,
                          FlowContext& context);
 
 /// Writes the JSON and/or text rendering to the given paths (empty path =

@@ -118,6 +118,7 @@ RoutabilityResult RoutabilityDrivenPlacer<T>::run() {
       });
     }
     result.nlSeconds += nl_timer.elapsed();
+    result.gpRuns.push_back(result.gp);
     carry_x = placer.nodeX();
     carry_y = placer.nodeY();
     carry_lambda = result.gp.finalLambda;
@@ -153,6 +154,7 @@ RoutabilityResult RoutabilityDrivenPlacer<T>::run() {
       Timer t;
       result.gp = final_placer.run();
       result.nlSeconds += t.elapsed();
+      result.gpRuns.push_back(result.gp);
       ++round;
       break;
     }

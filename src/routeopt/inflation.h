@@ -31,7 +31,8 @@ struct RoutabilityOptions {
 };
 
 struct RoutabilityResult {
-  GlobalPlacerResult gp;
+  GlobalPlacerResult gp;         ///< The last GP run.
+  std::vector<GlobalPlacerResult> gpRuns;  ///< Every GP restart, in order.
   CongestionReport congestion;   ///< After the final routing.
   double hpwl = 0.0;
   double sHpwl = 0.0;

@@ -3,7 +3,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "db/metrics.h"
 #include "gen/netlist_generator.h"
@@ -163,6 +166,108 @@ TEST_F(BookshelfTest, MalformedNetsThrows) {
   }
   EXPECT_THROW(readBookshelf((dir_ / "bad.aux").string()),
                std::runtime_error);
+}
+
+/// Writes a generated design as `<dir>/mut.*`, then sets whitespace-
+/// separated field `field` of the first line of `mut.<ext>` that `pick`
+/// accepts to `value`. Returns the .aux path.
+std::string writeMutated(const fs::path& dir, const std::string& ext,
+                         const std::function<bool(const std::string&)>& pick,
+                         std::size_t field, const std::string& value) {
+  GeneratorConfig cfg;
+  cfg.numCells = 200;
+  cfg.numPads = 8;
+  cfg.seed = 17;
+  writeBookshelf(*generateNetlist(cfg), dir.string(), "mut");
+  const fs::path path = dir / ("mut." + ext);
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) {
+      lines.push_back(line);
+    }
+  }
+  bool mutated = false;
+  for (std::string& line : lines) {
+    if (mutated || !pick(line)) {
+      continue;
+    }
+    std::istringstream fields(line);
+    std::vector<std::string> tokens;
+    for (std::string token; fields >> token;) {
+      tokens.push_back(token);
+    }
+    EXPECT_LT(field, tokens.size()) << line;
+    tokens.at(field) = value;
+    line.clear();
+    for (const std::string& token : tokens) {
+      line += (line.empty() ? "" : " ") + token;
+    }
+    mutated = true;
+  }
+  EXPECT_TRUE(mutated) << "no line of " << path << " matched";
+  std::ofstream out(path);
+  for (const std::string& line : lines) {
+    out << line << '\n';
+  }
+  return (dir / "mut.aux").string();
+}
+
+bool contains(const std::string& line, const char* text) {
+  return line.find(text) != std::string::npos;
+}
+
+TEST_F(BookshelfTest, BadNumbersThrowNamingFileLineAndField) {
+  // Each case once crashed the reader or a later stage (SIGSEGV on a nan
+  // pin offset or /FIXED x, an assert abort on a non-positive size) or
+  // was accepted silently (Height : 0, NumSites : -5).
+  const auto movableNode = [](const std::string& l) {
+    return !l.empty() && l[0] == '\t' && !contains(l, "terminal");
+  };
+  const auto pinLine = [](const std::string& l) {
+    return !l.empty() && l[0] == '\t' && contains(l, " : ");
+  };
+  struct Case {
+    std::string ext;
+    std::function<bool(const std::string&)> pick;
+    std::size_t field;
+    std::string value;
+    std::string expectField;
+  };
+  const std::vector<Case> cases = {
+      {"nets", pinLine, 3, "nan", "pin offset x"},
+      {"nets", pinLine, 4, "1e999", "pin offset y"},
+      {"nets", [](const std::string& l) { return contains(l, "NetDegree"); },
+       2, "two", "NetDegree"},
+      {"pl", [](const std::string& l) { return contains(l, "/FIXED"); }, 1,
+       "nan", "x"},
+      {"pl", [](const std::string& l) { return contains(l, " : N"); }, 2,
+       "12abc", "y"},
+      {"nodes", movableNode, 1, "0", "cell width"},
+      {"nodes", movableNode, 1, "-4", "cell width"},
+      {"nodes", movableNode, 1, "nan", "cell width"},
+      {"nodes", movableNode, 2, "0", "cell height"},
+      {"scl", [](const std::string& l) { return contains(l, "Height"); }, 2,
+       "0", "Height"},
+      {"scl", [](const std::string& l) { return contains(l, "NumSites"); },
+       5, "-5", "NumSites"},
+      {"scl", [](const std::string& l) { return contains(l, "Coordinate"); },
+       2, "inf", "Coordinate"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.ext + " " + c.expectField + " = " + c.value);
+    const std::string aux =
+        writeMutated(dir_, c.ext, c.pick, c.field, c.value);
+    try {
+      readBookshelf(aux);
+      ADD_FAILURE() << "no throw";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_TRUE(contains(what, ("mut." + c.ext).c_str())) << what;
+      EXPECT_TRUE(contains(what, ": line ")) << what;
+      EXPECT_TRUE(contains(what, (c.expectField + ":").c_str())) << what;
+    }
+  }
 }
 
 TEST_F(BookshelfTest, ReadPlacementOntoExistingDatabase) {

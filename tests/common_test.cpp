@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "common/counters.h"
+#include "common/flow_context.h"
 #include "common/geometry.h"
 #include "common/log.h"
 #include "common/rng.h"
@@ -19,6 +20,20 @@
 
 namespace dreamplace {
 namespace {
+
+/// A FlowContext with its own trace recorder, installed on the creating
+/// thread for the object's lifetime: each registry test sees only its own
+/// counters, timings and trace events.
+struct LocalContext {
+  static FlowContext::Config privateTrace() {
+    FlowContext::Config config;
+    config.privateTrace = true;
+    return config;
+  }
+
+  FlowContext context{privateTrace()};
+  FlowContextScope scope{context};
+};
 
 TEST(RngTest, DeterministicAcrossInstances) {
   Rng a(42), b(42);
@@ -141,7 +156,8 @@ TEST(TimerTest, MeasuresElapsed) {
 }
 
 TEST(TimingRegistryTest, AccumulatesAndReports) {
-  auto& registry = TimingRegistry::instance();
+  LocalContext local;
+  auto& registry = local.context.timing();
   registry.clear();
   registry.add("stage_a", 1.0);
   registry.add("stage_a", 0.5);
@@ -158,7 +174,8 @@ TEST(TimingRegistryTest, AccumulatesAndReports) {
 }
 
 TEST(TimingRegistryTest, TotalPrefixIsStringPrefix) {
-  auto& registry = TimingRegistry::instance();
+  LocalContext local;
+  auto& registry = local.context.timing();
   registry.clear();
   registry.add("gp", 1.0);
   registry.add("gp/op/wirelength", 2.0);
@@ -172,7 +189,8 @@ TEST(TimingRegistryTest, TotalPrefixIsStringPrefix) {
 }
 
 TEST(TimingRegistryTest, ScopedTimerAdds) {
-  auto& registry = TimingRegistry::instance();
+  LocalContext local;
+  auto& registry = local.context.timing();
   registry.clear();
   {
     ScopedTimer scope("scoped_key");
@@ -186,7 +204,8 @@ TEST(TimingRegistryTest, ScopedTimerAdds) {
 }
 
 TEST(CounterRegistryTest, AddValueAndPrefix) {
-  auto& registry = CounterRegistry::instance();
+  LocalContext local;
+  auto& registry = local.context.counters();
   registry.clear();
   registry.add("ops/a");
   registry.add("ops/a", 4);
@@ -206,7 +225,8 @@ TEST(CounterRegistryTest, AddValueAndPrefix) {
 TEST(CounterRegistryTest, ClearKeepsAddressesValid) {
   // Counter handles cache the atomic's address; clear() must zero in
   // place rather than erase, or cached handles would dangle.
-  auto& registry = CounterRegistry::instance();
+  LocalContext local;
+  auto& registry = local.context.counters();
   std::atomic<CounterRegistry::Value>& cell = registry.counter("stable/key");
   cell.fetch_add(7);
   registry.clear();
@@ -220,13 +240,15 @@ TEST(CounterRegistryTest, ClearKeepsAddressesValid) {
 }
 
 TEST(CounterRegistryTest, ConcurrentIncrementsAreLossless) {
-  auto& registry = CounterRegistry::instance();
+  LocalContext local;
+  auto& registry = local.context.counters();
   registry.clear();
   constexpr int kThreads = 4;
   constexpr int kPerThread = 10000;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([] {
+    threads.emplace_back([&local] {
+      FlowContextScope scope(local.context);
       Counter c("concurrent/key");
       for (int i = 0; i < kPerThread; ++i) {
         c.add();
@@ -241,7 +263,8 @@ TEST(CounterRegistryTest, ConcurrentIncrementsAreLossless) {
 }
 
 TEST(TraceRecorderTest, DisabledPathRecordsNothing) {
-  auto& trace = TraceRecorder::instance();
+  LocalContext local;
+  auto& trace = local.context.trace();
   trace.setEnabled(false);
   trace.clear();
   trace.completeEvent("ignored", 0.5);
@@ -250,11 +273,12 @@ TEST(TraceRecorderTest, DisabledPathRecordsNothing) {
   { TraceScope scope("ignored"); }
   { ScopedTimer timer("trace_test/ignored"); }
   EXPECT_EQ(trace.size(), 0u);
-  TimingRegistry::instance().clear();
+  local.context.timing().clear();
 }
 
 TEST(TraceRecorderTest, RecordsAllEventKinds) {
-  auto& trace = TraceRecorder::instance();
+  LocalContext local;
+  auto& trace = local.context.trace();
   trace.clear();
   trace.setEnabled(true);
   trace.completeEvent("span", 0.001);
@@ -307,11 +331,12 @@ TEST(TraceRecorderTest, RecordsAllEventKinds) {
   EXPECT_EQ(brackets, 0);
   EXPECT_FALSE(in_string);
   trace.clear();
-  TimingRegistry::instance().clear();
+  local.context.timing().clear();
 }
 
 TEST(TraceRecorderTest, WriteJsonRoundTrips) {
-  auto& trace = TraceRecorder::instance();
+  LocalContext local;
+  auto& trace = local.context.trace();
   trace.clear();
   trace.setEnabled(true);
   trace.completeEvent("file_span", 0.002);
@@ -335,12 +360,13 @@ TEST(TraceRecorderTest, WriteJsonRoundTrips) {
 }
 
 TEST(TraceRecorderTest, BufferIsBoundedAndDropsAreCounted) {
-  auto& trace = TraceRecorder::instance();
+  LocalContext local;
+  auto& trace = local.context.trace();
   trace.clear();
   const std::size_t saved_capacity = trace.capacity();
   trace.setCapacity(4);
   trace.setEnabled(true);
-  const auto dropped_before = CounterRegistry::instance().value("trace/dropped");
+  const auto dropped_before = local.context.counters().value("trace/dropped");
   for (int i = 0; i < 10; ++i) {
     trace.completeEvent("bounded", 0.001);
   }
@@ -348,7 +374,7 @@ TEST(TraceRecorderTest, BufferIsBoundedAndDropsAreCounted) {
   EXPECT_EQ(trace.size(), 4u);
   EXPECT_EQ(trace.dropped(), 6u);
   // The counter is cumulative across clear()s; this test added exactly 6.
-  EXPECT_EQ(CounterRegistry::instance().value("trace/dropped"),
+  EXPECT_EQ(local.context.counters().value("trace/dropped"),
             dropped_before + 6);
   // clear() resets the per-recording drop count and frees the buffer.
   trace.clear();

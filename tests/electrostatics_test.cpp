@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/flow_context.h"
 #include "common/counters.h"
 #include "common/memory.h"
 #include "common/rng.h"
@@ -228,8 +229,10 @@ TEST(PoissonTest, SolveIsAllocationFreeAfterFirstCall) {
   for (double& r : rho) {
     r = rng.uniform(0, 1);
   }
-  auto& reg = CounterRegistry::instance();
-  auto& mem = MemoryTracker::instance();
+  FlowContext context;
+  FlowContextScope scope(context);
+  auto& reg = context.counters();
+  auto& mem = context.memory();
   for (auto algo : {fft::Dct2dAlgorithm::kFft2dN,
                     fft::Dct2dAlgorithm::kRowCol2N,
                     fft::Dct2dAlgorithm::kRowColN}) {
@@ -261,7 +264,9 @@ TEST(PoissonTest, SolveRunsOneForwardAndTwoFieldTransforms) {
   const int m = 16;
   std::vector<double> rho(static_cast<size_t>(m) * m, 0.5);
   rho[3] = 2.0;
-  auto& reg = CounterRegistry::instance();
+  FlowContext context;
+  FlowContextScope scope(context);
+  auto& reg = context.counters();
   for (auto algo : {fft::Dct2dAlgorithm::kFft2dN,
                     fft::Dct2dAlgorithm::kRowCol2N,
                     fft::Dct2dAlgorithm::kRowColN}) {

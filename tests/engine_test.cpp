@@ -244,7 +244,8 @@ TEST(EngineTest, ConcurrentMatchesSerialBitExact) {
       EXPECT_EQ(c.report.gpRuns[r].iterations, s.report.gpRuns[r].iterations);
       EXPECT_EQ(c.report.gpRuns[r].hpwl, s.report.gpRuns[r].hpwl);
       EXPECT_EQ(c.report.gpRuns[r].overflow, s.report.gpRuns[r].overflow);
-      EXPECT_EQ(c.report.gpRuns[r].lambda, s.report.gpRuns[r].lambda);
+      EXPECT_EQ(c.report.gpRuns[r].finalLambda,
+                s.report.gpRuns[r].finalLambda);
     }
   }
 

@@ -4,6 +4,7 @@
 #include <complex>
 #include <thread>
 
+#include "common/flow_context.h"
 #include "common/counters.h"
 #include "common/rng.h"
 #include "fft/fft.h"
@@ -185,7 +186,9 @@ TEST(FftPlanTest, EachPlanOwnsItsSubPlans) {
   // Every construction counts once, and a plan builds the sub-plans it
   // executes itself: an rfft plan its half-size complex plan, a Bluestein
   // plan its two padded radix-2 plans.
-  auto& reg = CounterRegistry::instance();
+  FlowContext context;
+  FlowContextScope scope(context);
+  auto& reg = context.counters();
   auto before = reg.value("fft/plan/create");
   const RfftPlan<double> real(64, false);
   EXPECT_EQ(reg.value("fft/plan/create"), before + 2);

@@ -218,23 +218,6 @@ TEST(HealthTest, UnwritableReportPathFailsJob) {
       << batch.jobs[0].error;
 }
 
-TEST(HealthTest, UnwritableTelemetryJsonlFailsJob) {
-  auto db = healthDesign(25, 200);
-  PlacementEngine engine;
-
-  PlacementJob job;
-  job.db = db.get();
-  job.name = "badjsonl";
-  job.options.gp.maxIterations = 40;
-  job.options.gp.binsMax = 64;
-  job.options.telemetryJsonl = "/nonexistent_dir_dp/telemetry.jsonl";
-
-  BatchReport batch = engine.run({std::move(job)});
-  ASSERT_EQ(batch.jobs.size(), 1u);
-  EXPECT_EQ(batch.jobs[0].status, JobStatus::kFailed);
-  EXPECT_FALSE(batch.jobs[0].error.empty());
-}
-
 TEST(HealthTest, UnwritableMetricsFileFailsEngineRunUpFront) {
   auto db = healthDesign(26, 200);
 

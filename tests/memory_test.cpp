@@ -6,13 +6,23 @@
 #include <utility>
 #include <vector>
 
+#include "common/flow_context.h"
 #include "common/memory.h"
 #include "fft/dct2d.h"
 
 namespace dreamplace {
 namespace {
 
-MemoryTracker& tracker() { return MemoryTracker::instance(); }
+/// Tracker tests record into the memory tracker of their own FlowContext.
+class LocalTrackerTest : public ::testing::Test {
+ protected:
+  MemoryTracker& tracker() { return context_.memory(); }
+
+  FlowContext context_;
+  FlowContextScope scope_{context_};
+};
+using MemoryTrackerTest = LocalTrackerTest;
+using TrackedBytesTest = LocalTrackerTest;
 
 TEST(ProcessMemoryTest, SampleIsValidOnLinux) {
   const ProcessMemory mem = sampleProcessMemory();
@@ -35,7 +45,7 @@ TEST(ProcessMemoryTest, PeakIsMonotonic) {
   EXPECT_GE(after.vmHwmBytes, before.vmHwmBytes);
 }
 
-TEST(MemoryTrackerTest, AdjustTracksCurrentAndPeak) {
+TEST_F(MemoryTrackerTest, AdjustTracksCurrentAndPeak) {
   tracker().adjust("test/mem/adjust", 100);
   tracker().adjust("test/mem/adjust", 50);
   EXPECT_EQ(tracker().current("test/mem/adjust"), 150);
@@ -45,7 +55,7 @@ TEST(MemoryTrackerTest, AdjustTracksCurrentAndPeak) {
   EXPECT_EQ(tracker().peak("test/mem/adjust"), 150);
 }
 
-TEST(MemoryTrackerTest, CurrentClampsAtZero) {
+TEST_F(MemoryTrackerTest, CurrentClampsAtZero) {
   tracker().adjust("test/mem/clamp", -1000);
   EXPECT_EQ(tracker().current("test/mem/clamp"), 0);
   tracker().adjust("test/mem/clamp", 10);
@@ -53,7 +63,7 @@ TEST(MemoryTrackerTest, CurrentClampsAtZero) {
   tracker().adjust("test/mem/clamp", -10);
 }
 
-TEST(MemoryTrackerTest, PrefixSumsAcrossSubsystems) {
+TEST_F(MemoryTrackerTest, PrefixSumsAcrossSubsystems) {
   tracker().adjust("test/mem/prefix/a", 30);
   tracker().adjust("test/mem/prefix/b", 70);
   EXPECT_EQ(tracker().currentPrefix("test/mem/prefix/"), 100);
@@ -63,7 +73,7 @@ TEST(MemoryTrackerTest, PrefixSumsAcrossSubsystems) {
   tracker().adjust("test/mem/prefix/b", -70);
 }
 
-TEST(TrackedBytesTest, ReleasesOnDestruction) {
+TEST_F(TrackedBytesTest, ReleasesOnDestruction) {
   const std::int64_t before = tracker().current("test/mem/raii");
   {
     TrackedBytes handle("test/mem/raii");
@@ -78,7 +88,7 @@ TEST(TrackedBytesTest, ReleasesOnDestruction) {
   EXPECT_GE(tracker().peak("test/mem/raii"), before + 1000);
 }
 
-TEST(TrackedBytesTest, MoveTransfersTheReservation) {
+TEST_F(TrackedBytesTest, MoveTransfersTheReservation) {
   const std::int64_t before = tracker().current("test/mem/move");
   TrackedBytes outer("test/mem/move");
   {
@@ -94,7 +104,7 @@ TEST(TrackedBytesTest, MoveTransfersTheReservation) {
   EXPECT_EQ(tracker().current("test/mem/move"), before);
 }
 
-TEST(TrackedBytesTest, Dct2dPlanAttributesItsScratch) {
+TEST_F(TrackedBytesTest, Dct2dPlanAttributesItsScratch) {
   for (auto algo : {fft::Dct2dAlgorithm::kFft2dN,
                     fft::Dct2dAlgorithm::kRowCol2N,
                     fft::Dct2dAlgorithm::kRowColN}) {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/flow_context.h"
 #include "common/counters.h"
 #include "common/parallel.h"
 
@@ -159,7 +160,9 @@ TEST(ThreadPoolTest, SetThreadsReconfigures) {
 
 TEST(ThreadPoolTest, CountersAndUtilizationAdvance) {
   ScopedThreads scope(2);
-  auto& registry = CounterRegistry::instance();
+  FlowContext context;
+  FlowContextScope flow_scope(context);
+  auto& registry = context.counters();
   const auto jobs0 = registry.value("parallel/jobs");
   const auto tasks0 = registry.value("parallel/tasks");
   parallelFor("test/counted", 256, 16, [](Index) {});
@@ -174,7 +177,9 @@ TEST(ThreadPoolTest, SerialModeCountsTasksToo) {
   // The `parallel/tasks >= 1` report invariant must hold on a 1-core
   // machine where every job takes the serial inline path.
   ScopedThreads scope(1);
-  auto& registry = CounterRegistry::instance();
+  FlowContext context;
+  FlowContextScope flow_scope(context);
+  auto& registry = context.counters();
   const auto tasks0 = registry.value("parallel/tasks");
   parallelFor("test/serial", 100, 10, [](Index) {});
   EXPECT_EQ(registry.value("parallel/tasks") - tasks0, 10);

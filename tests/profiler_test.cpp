@@ -7,12 +7,12 @@
 #include <chrono>
 #include <thread>
 
+#include "common/flow_context.h"
 #include "common/timer.h"
 
 namespace dreamplace {
 namespace {
 
-TimingRegistry& registry() { return TimingRegistry::instance(); }
 
 /// Burns wall-clock time without sleeping (sleep granularity is coarse
 /// and flaky under load; a spin against steady_clock is exact enough).
@@ -24,7 +24,16 @@ void spinFor(double seconds) {
   }
 }
 
-TEST(ProfilerTest, CountsAccumulatePerKey) {
+/// Every test records into the timing registry of its own FlowContext.
+class ProfilerTest : public ::testing::Test {
+ protected:
+  TimingRegistry& registry() { return context_.timing(); }
+
+  FlowContext context_;
+  FlowContextScope scope_{context_};
+};
+
+TEST_F(ProfilerTest, CountsAccumulatePerKey) {
   registry().clear();
   for (int i = 0; i < 5; ++i) {
     ScopedTimer t("prof/count");
@@ -33,7 +42,7 @@ TEST(ProfilerTest, CountsAccumulatePerKey) {
   EXPECT_EQ(registry().count("prof/absent"), 0);
 }
 
-TEST(ProfilerTest, AddIsALeafRootScope) {
+TEST_F(ProfilerTest, AddIsALeafRootScope) {
   registry().clear();
   registry().add("prof/manual", 1.5);
   registry().add("prof/manual", 0.5);
@@ -44,7 +53,7 @@ TEST(ProfilerTest, AddIsALeafRootScope) {
   EXPECT_DOUBLE_EQ(stats.rootSeconds, 2.0);
 }
 
-TEST(ProfilerTest, SelfExcludesNestedScopes) {
+TEST_F(ProfilerTest, SelfExcludesNestedScopes) {
   registry().clear();
   {
     ScopedTimer outer("prof/outer");
@@ -76,7 +85,7 @@ TEST(ProfilerTest, SelfExcludesNestedScopes) {
   EXPECT_DOUBLE_EQ(inner.rootSeconds, 0.0);
 }
 
-TEST(ProfilerTest, SubtreeSelfTimesSumToRootInclusive) {
+TEST_F(ProfilerTest, SubtreeSelfTimesSumToRootInclusive) {
   registry().clear();
   {
     ScopedTimer root("prof/root");
@@ -101,7 +110,7 @@ TEST(ProfilerTest, SubtreeSelfTimesSumToRootInclusive) {
   EXPECT_NEAR(root_sum, root_incl, 1e-12);
 }
 
-TEST(ProfilerTest, SiblingScopesDoNotInflateEachOther) {
+TEST_F(ProfilerTest, SiblingScopesDoNotInflateEachOther) {
   registry().clear();
   {
     ScopedTimer outer("prof/seq");
@@ -122,7 +131,7 @@ TEST(ProfilerTest, SiblingScopesDoNotInflateEachOther) {
               1e-9 + 1e-6 * stats.at("prof/seq").seconds);
 }
 
-TEST(ProfilerTest, ReportUsesRootTimeDenominator) {
+TEST_F(ProfilerTest, ReportUsesRootTimeDenominator) {
   registry().clear();
   registry().add("alpha", 0.6);
   registry().add("beta", 0.4);
@@ -141,11 +150,12 @@ TEST(ProfilerTest, ReportUsesRootTimeDenominator) {
   EXPECT_TRUE(about_sixty) << report;
 }
 
-TEST(ProfilerTest, ScopesOnOtherThreadsAreIndependentRoots) {
+TEST_F(ProfilerTest, ScopesOnOtherThreadsAreIndependentRoots) {
   registry().clear();
   {
     ScopedTimer outer("prof/mainroot");
-    std::thread worker([] {
+    std::thread worker([this] {
+      FlowContextScope scope(context_);
       ScopedTimer t("prof/threadroot");
       spinFor(0.002);
     });
@@ -162,7 +172,7 @@ TEST(ProfilerTest, ScopesOnOtherThreadsAreIndependentRoots) {
               1e-9 + 1e-6 * stats.at("prof/mainroot").seconds);
 }
 
-TEST(ProfilerTest, ConcurrentScopesAreLossless) {
+TEST_F(ProfilerTest, ConcurrentScopesAreLossless) {
   registry().clear();
   constexpr int kThreads = 4;
   constexpr int kScopes = 2000;
@@ -170,7 +180,8 @@ TEST(ProfilerTest, ConcurrentScopesAreLossless) {
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&go, t] {
+    threads.emplace_back([this, &go, t] {
+      FlowContextScope scope(context_);
       while (!go.load()) {
       }
       const std::string key = "prof/stress/" + std::to_string(t % 2);
@@ -195,7 +206,7 @@ TEST(ProfilerTest, ConcurrentScopesAreLossless) {
   }
 }
 
-TEST(ProfilerTest, LegacyAccessorsStaySourceCompatible) {
+TEST_F(ProfilerTest, LegacyAccessorsStaySourceCompatible) {
   registry().clear();
   registry().add("legacy/a", 1.0);
   registry().add("legacy/b", 2.0);

@@ -1,6 +1,6 @@
 // Coverage for the observability stack (docs/OBSERVABILITY.md): the
-// TelemetrySink API wired into the kernel-GP loop, the file sinks, and
-// the flow-level exports on PlacerOptions.
+// TelemetrySink API wired into the kernel-GP loop, the JSONL sink, the
+// loop's trace counter tracks, and the flow-level exports.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,11 +10,12 @@
 #include <string>
 #include <vector>
 
-#include "common/trace.h"
+#include "common/flow_context.h"
 #include "gen/netlist_generator.h"
 #include "gp/global_placer.h"
 #include "gp/telemetry.h"
 #include "place/placer.h"
+#include "place/report.h"
 
 namespace dreamplace {
 namespace {
@@ -86,34 +87,11 @@ TEST(TelemetryTest, RecordingSinkSeesEveryIteration) {
   EXPECT_GT(wl_total, 0.0);
 
   ASSERT_EQ(sink.summaries().size(), 1u);
-  const TelemetryRunSummary& summary = sink.summaries().front();
+  const GlobalPlacerResult& summary = sink.summaries().front();
   EXPECT_EQ(summary.iterations, result.iterations);
   EXPECT_DOUBLE_EQ(summary.hpwl, result.hpwl);
   EXPECT_DOUBLE_EQ(summary.overflow, result.overflow);
   EXPECT_GT(summary.seconds, 0.0);
-}
-
-TEST(TelemetryTest, MuxFansOutToAllSinks) {
-  RecordingTelemetrySink a, b;
-  TelemetryMux mux;
-  EXPECT_TRUE(mux.empty());
-  mux.addSink(nullptr);  // ignored
-  EXPECT_TRUE(mux.empty());
-  mux.addSink(&a);
-  mux.addSink(&b);
-  EXPECT_FALSE(mux.empty());
-
-  IterationStats stats;
-  stats.iteration = 3;
-  mux.onRunBegin(TelemetryRunInfo{});
-  mux.onIteration(stats);
-  mux.onRunEnd(TelemetryRunSummary{});
-  for (const RecordingTelemetrySink* sink : {&a, &b}) {
-    EXPECT_EQ(sink->runs().size(), 1u);
-    ASSERT_EQ(sink->iterations().size(), 1u);
-    EXPECT_EQ(sink->iterations().front().iteration, 3);
-    EXPECT_EQ(sink->summaries().size(), 1u);
-  }
 }
 
 TEST(TelemetryTest, JsonlSinkWritesOneRecordPerIteration) {
@@ -153,79 +131,60 @@ TEST(TelemetryTest, JsonlSinkWritesOneRecordPerIteration) {
 TEST(TelemetryTest, FileSinksThrowOnUnwritablePath) {
   EXPECT_THROW(JsonlTelemetrySink("/nonexistent-dir/telemetry.jsonl"),
                std::runtime_error);
-  EXPECT_THROW(CsvTelemetrySink("/nonexistent-dir/telemetry.csv"),
-               std::runtime_error);
-}
-
-TEST(TelemetryTest, CsvSinkWritesOneRowPerRun) {
-  const std::string path = tempPath("telemetry_test_runs.csv");
-  {
-    CsvTelemetrySink sink(path);
-    TelemetryRunInfo info;
-    info.label = "design-a";
-    TelemetryRunSummary summary;
-    summary.iterations = 12;
-    summary.hpwl = 3.5e6;
-    sink.onRunBegin(info);
-    sink.onRunEnd(summary);
-    info.label = "design-b";
-    sink.onRunBegin(info);
-    sink.onRunEnd(summary);
-  }
-  const std::vector<std::string> lines = readLines(path);
-  std::remove(path.c_str());
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_EQ(lines[0], "label,iterations,hpwl,overflow,lambda,seconds");
-  EXPECT_EQ(lines[1].rfind("design-a,12,", 0), 0u);
-  EXPECT_EQ(lines[2].rfind("design-b,12,", 0), 0u);
 }
 
 TEST(TelemetryTest, TraceSinkEmitsCounterTracks) {
-  auto& trace = TraceRecorder::instance();
-  trace.clear();
+  // The GP loop emits its counter tracks itself whenever the flow's trace
+  // recorder is enabled; no sink is involved.
+  FlowContext::Config config;
+  config.privateTrace = true;
+  FlowContext context(config);
+  FlowContextScope scope(context);
+  TraceRecorder& trace = context.trace();
   trace.setEnabled(true);
-  TraceTelemetrySink sink;
-  IterationStats stats;
-  stats.overflow = 0.5;
-  stats.hpwl = 1e6;
-  sink.onIteration(stats);
+  auto db = smallDesign();
+  GlobalPlacer<double> placer(*db, fastOptions());
+  const int iterations = placer.run().iterations;
   trace.setEnabled(false);
   const std::string json = trace.toJson();
-  trace.clear();
-  EXPECT_NE(json.find("\"gp.overflow\""), std::string::npos);
-  EXPECT_NE(json.find("\"gp.hpwl\""), std::string::npos);
-  EXPECT_NE(json.find("\"gp.lambda\""), std::string::npos);
+  for (const char* track :
+       {"gp.overflow", "gp.hpwl", "gp.lambda", "gp.gamma", "gp.step"}) {
+    const std::string name = std::string("\"name\":\"") + track + "\"";
+    int count = 0;
+    for (std::size_t at = json.find(name); at != std::string::npos;
+         at = json.find(name, at + 1)) {
+      ++count;
+    }
+    EXPECT_EQ(count, iterations) << track;
+  }
 }
 
 TEST(TelemetryTest, FlowExportsJsonlCsvAndTrace) {
   const std::string jsonl = tempPath("telemetry_test_flow.jsonl");
-  const std::string csv = tempPath("telemetry_test_flow.csv");
   const std::string trace_path = tempPath("telemetry_test_flow.trace.json");
   auto db = smallDesign(59, 300);
   PlacerOptions options;
   options.gp = fastOptions();
   options.dp.passes = 1;
-  options.telemetryJsonl = jsonl;
-  options.telemetryCsv = csv;
   options.traceFile = trace_path;
   options.telemetryLabel = "flow-design";
-  RecordingTelemetrySink extra;
-  options.telemetry = &extra;  // caller sink composes with file exports
-  const FlowResult result = placeDesign(*db, options);
+  FlowContext::Config config;
+  config.privateTrace = true;
+  FlowContext context(config);
+  FlowResult result;
+  {
+    JsonlTelemetrySink sink(jsonl);
+    options.telemetry = &sink;
+    result = placeDesign(*db, options, context);
+  }
 
   EXPECT_GT(result.gpIterations, 0);
-  EXPECT_EQ(static_cast<int>(extra.iterations().size()), result.gpIterations);
-
   const std::vector<std::string> jsonl_lines = readLines(jsonl);
   std::remove(jsonl.c_str());
   ASSERT_EQ(static_cast<int>(jsonl_lines.size()), result.gpIterations + 2);
   EXPECT_NE(jsonl_lines.front().find("\"run\":\"flow-design\""),
             std::string::npos);
-
-  const std::vector<std::string> csv_lines = readLines(csv);
-  std::remove(csv.c_str());
-  ASSERT_EQ(csv_lines.size(), 2u);
-  EXPECT_EQ(csv_lines[1].rfind("flow-design,", 0), 0u);
+  EXPECT_NE(jsonl_lines.back().find("\"run_end\""), std::string::npos);
 
   // The trace must cover the whole flow: GP op scopes from ScopedTimer,
   // the LG stage, and the GP counter tracks.
@@ -238,10 +197,44 @@ TEST(TelemetryTest, FlowExportsJsonlCsvAndTrace) {
   EXPECT_NE(trace_json.find("\"gp/op/wirelength\""), std::string::npos);
   EXPECT_NE(trace_json.find("\"gp/op/density\""), std::string::npos);
   EXPECT_NE(trace_json.find("\"lg\""), std::string::npos);
-  EXPECT_NE(trace_json.find("\"gp.overflow\""), std::string::npos);
+  for (const char* track : {"\"gp.overflow\"", "\"gp.hpwl\"",
+                            "\"gp.lambda\"", "\"gp.gamma\"",
+                            "\"gp.step\""}) {
+    EXPECT_NE(trace_json.find(track), std::string::npos) << track;
+  }
   // Recording was switched off again when the flow finished.
-  EXPECT_FALSE(TraceRecorder::instance().enabled());
-  TraceRecorder::instance().clear();
+  EXPECT_FALSE(context.trace().enabled());
+}
+
+TEST(TelemetryTest, RoutabilityReportHasOneGpRunPerRestart) {
+  GeneratorConfig cfg;
+  cfg.numCells = 600;
+  cfg.utilization = 0.55;
+  cfg.seed = 79;
+  auto db = generateNetlist(cfg);
+  PlacerOptions options;
+  options.gp = fastOptions();
+  options.gp.maxIterations = 300;
+  options.dp.passes = 1;
+  options.routability = true;
+  options.routabilityOptions.maxRounds = 3;
+  options.routabilityOptions.router.gridX = 24;
+  options.routabilityOptions.router.gridY = 24;
+  // Very tight capacity forces inflation, hence GP restarts.
+  options.routabilityOptions.router.capacityPerLayer = 1.5;
+  RecordingTelemetrySink sink;
+  options.telemetry = &sink;
+  FlowContext context;
+  RunReport report;
+  placeDesign(*db, options, context, &report);
+
+  EXPECT_GE(report.gpRuns.size(), 2u);
+  ASSERT_EQ(report.gpRuns.size(), sink.summaries().size());
+  for (std::size_t i = 0; i < report.gpRuns.size(); ++i) {
+    EXPECT_EQ(report.gpRuns[i].iterations, sink.summaries()[i].iterations);
+    EXPECT_EQ(report.gpRuns[i].hpwl, sink.summaries()[i].hpwl);
+    EXPECT_EQ(report.gpRuns[i].finalLambda, sink.summaries()[i].finalLambda);
+  }
 }
 
 TEST(TelemetryTest, NullSinkKeepsGpByteIdentical) {

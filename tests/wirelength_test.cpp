@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/flow_context.h"
 #include "common/counters.h"
 #include "common/rng.h"
 #include "db/metrics.h"
@@ -205,9 +206,10 @@ TEST(WaWirelengthTest, PerNetGradientConservation) {
 TEST(WaWirelengthTest, PinScratchAllocatesOnce) {
   // The per-pin gradient scratch is member workspace: the first
   // evaluate() allocates it, every later call reuses it. The counter
-  // registry is the witness (deltas, since other tests in this binary
-  // also exercise the kernels).
-  auto& registry = CounterRegistry::instance();
+  // registry of a test-local context is the witness.
+  FlowContext context;
+  FlowContextScope scope(context);
+  auto& registry = context.counters();
   const auto allocs0 = registry.value("ops/wirelength/scratch_alloc");
   const auto reuses0 = registry.value("ops/wirelength/scratch_reuse");
 
@@ -234,7 +236,9 @@ TEST(WaWirelengthTest, KernelSwitchReusesWorkspace) {
   // workspace, sized up front to the larger (net-by-net) footprint, so
   // alternating strategies on one op allocates once and then reuses —
   // no reallocation churn from the size mismatch (2*numPins vs numPins).
-  auto& registry = CounterRegistry::instance();
+  FlowContext context;
+  FlowContextScope scope(context);
+  auto& registry = context.counters();
   const auto allocs0 = registry.value("ops/wirelength/kernel_ws_alloc");
   const auto reuses0 = registry.value("ops/wirelength/kernel_ws_reuse");
 
