@@ -70,30 +70,22 @@ void GlobalPlacer<T>::buildOps() {
   }
 
   grid_ = grid;
+  typename DensityOp<T>::Options d_opts;
+  d_opts.targetDensity = options_.targetDensity;
+  d_opts.map.kernel = options_.densityKernel;
+  d_opts.map.subdivision = options_.densitySubdivision;
+  d_opts.dct = options_.dct;
   if (options_.fences.empty()) {
-    typename DensityOp<T>::Options d_opts;
-    d_opts.targetDensity = options_.targetDensity;
-    d_opts.map.kernel = options_.densityKernel;
-    d_opts.map.subdivision = options_.densitySubdivision;
-    d_opts.dct = options_.dct;
     density_ = std::make_unique<DensityOp<T>>(db_, grid, std::move(node_w),
                                               std::move(node_h), d_opts);
   } else {
-    DP_ASSERT_MSG(static_cast<Index>(options_.cellFence.size()) ==
-                      db_.numMovable(),
-                  "cellFence must cover every movable cell");
-    typename FenceDensityOp<T>::Options f_opts;
-    f_opts.targetDensity = options_.targetDensity;
-    f_opts.map.kernel = options_.densityKernel;
-    f_opts.map.subdivision = options_.densitySubdivision;
-    f_opts.dct = options_.dct;
     const Index num_fillers =
         static_cast<Index>(node_w.size()) - db_.numMovable();
     std::vector<int> node_group = assignFillerGroups(
         db_, options_.cellFence, options_.fences, num_fillers);
-    density_ = std::make_unique<FenceDensityOp<T>>(
-        db_, grid, options_.fences, std::move(node_group),
-        std::move(node_w), std::move(node_h), f_opts);
+    density_ = std::make_unique<DensityOp<T>>(
+        db_, grid, options_.fences, std::move(node_group), std::move(node_w),
+        std::move(node_h), d_opts);
   }
 
   objective_ = std::make_unique<PlacementObjective<T>>(db_, *wirelength_,
@@ -145,13 +137,7 @@ GlobalPlacerResult GlobalPlacer<T>::run(const Callback& callback) {
   // Nodes are clamped into the die — or into their fence box when fence
   // regions are active (fences are axis-aligned boxes, so the projection
   // is an exact Euclidean projection per node).
-  std::vector<Box<Coord>> node_box(n, db_.dieArea());
-  if (auto* fenced = dynamic_cast<FenceDensityOp<T>*>(density_.get())) {
-    for (Index i = 0; i < n; ++i) {
-      node_box[i] = fenced->groupBox(fenced->nodeGroup(i));
-    }
-  }
-  auto projection = [this, n, &node_box](std::vector<T>& p) {
+  auto projection = [this, n](std::vector<T>& p) {
     const Index movable = db_.numMovable();
     parallelFor("gp/project", n, 2048, [&](Index i) {
       // Keep node footprints inside their box; fillers use smoothed sizes.
@@ -161,7 +147,7 @@ GlobalPlacerResult GlobalPlacer<T>::run(const Callback& callback) {
       const T hh = (i < movable ? static_cast<T>(db_.cellHeight(i))
                                 : density_->nodeHeight(i)) /
                    T(2);
-      const Box<Coord>& box = node_box[i];
+      const Box<Coord>& box = density_->nodeBox(i);
       p[i] = clampSafe<T>(p[i], static_cast<T>(box.xl) + hw,
                           static_cast<T>(box.xh) - hw);
       p[i + n] = clampSafe<T>(p[i + n], static_cast<T>(box.yl) + hh,

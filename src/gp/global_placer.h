@@ -17,7 +17,6 @@
 #include "gp/placement_objective.h"
 #include "gp/telemetry.h"
 #include "ops/density_op.h"
-#include "ops/fence_density_op.h"
 #include "ops/schedulers.h"
 #include "ops/wirelength.h"
 
@@ -118,7 +117,7 @@ class GlobalPlacer {
   GlobalPlacerOptions options_;
   Index num_nodes_ = 0;
   std::unique_ptr<WirelengthOp<T>> wirelength_;
-  std::unique_ptr<DensityFunction<T>> density_;
+  std::unique_ptr<DensityOp<T>> density_;
   DensityGrid<T> grid_{};
   std::unique_ptr<PlacementObjective<T>> objective_;
   std::unique_ptr<Optimizer<T>> optimizer_;

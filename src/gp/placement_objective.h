@@ -24,7 +24,7 @@ template <typename T>
 class PlacementObjective final : public ObjectiveFunction<T> {
  public:
   PlacementObjective(const Database& db, WirelengthOp<T>& wirelength,
-                     DensityFunction<T>& density)
+                     DensityOp<T>& density)
       : wirelength_(wirelength), density_(density) {
     const Index num_nodes = density.numNodes();
     pin_count_.assign(num_nodes, T(0));
@@ -92,7 +92,7 @@ class PlacementObjective final : public ObjectiveFunction<T> {
 
  private:
   WirelengthOp<T>& wirelength_;
-  DensityFunction<T>& density_;
+  DensityOp<T>& density_;
   double lambda_ = 0.0;
   bool precondition_ = true;
   double last_wl_ = 0.0;

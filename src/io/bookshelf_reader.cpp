@@ -85,9 +85,25 @@ class LineReader {
     return value;
   }
 
+  /// Like number(), additionally requiring a non-negative integer.
+  double count(const std::string& token, const char* field) const {
+    const double value = number(token, field);
+    if (value < 0.0 || value != std::floor(value) ||
+        value > std::numeric_limits<Index>::max()) {
+      fail(field, "must be a non-negative integer, got " + token);
+    }
+    return value;
+  }
+
+  int line() const { return line_number_; }
+
   [[noreturn]] void fail(const char* field, const std::string& what) const {
-    dreamplace::fail(path_, "line " + std::to_string(line_number_) + ": " +
-                                field + ": " + what);
+    failAt(line_number_, field, what);
+  }
+  [[noreturn]] void failAt(int line, const char* field,
+                           const std::string& what) const {
+    dreamplace::fail(path_, "line " + std::to_string(line) + ": " + field +
+                                ": " + what);
   }
 
  private:
@@ -118,6 +134,35 @@ std::vector<std::string> tokenize(const std::string& line) {
   }
   return tokens;
 }
+
+/// A "<field> : n" header line, checked against the entities parsed. A
+/// missing header is not an error.
+struct HeaderCount {
+  const char* field;
+  double declared = -1.0;  ///< -1 while the header is absent.
+  int line = 0;
+
+  /// Records the header if `tokens` is this field's line.
+  bool read(const LineReader& reader, const std::vector<std::string>& tokens) {
+    if (tokens[0] != field) {
+      return false;
+    }
+    if (tokens.size() < 3 || tokens[1] != ":") {
+      reader.fail(field, "expected '" + std::string(field) + " : <count>'");
+    }
+    declared = reader.count(tokens[2], field);
+    line = reader.line();
+    return true;
+  }
+
+  void check(const LineReader& reader, Index parsed) const {
+    if (declared >= 0.0 && declared != parsed) {
+      reader.failAt(line, field,
+                    "header declares " + std::to_string(Index(declared)) +
+                        ", file has " + std::to_string(parsed));
+    }
+  }
+};
 
 struct AuxFiles {
   std::string nodes;
@@ -160,13 +205,15 @@ void parseNodes(const std::string& path, Database& db,
                 std::unordered_map<std::string, Index>& byName) {
   LineReader reader(path);
   std::string line;
+  HeaderCount num_nodes{"NumNodes"};
+  HeaderCount num_terminals{"NumTerminals"};
+  Index nodes = 0;
+  Index terminals = 0;
   while (reader.next(line)) {
     auto tokens = tokenize(line);
-    if (tokens.empty()) {
+    if (tokens.empty() || num_nodes.read(reader, tokens) ||
+        num_terminals.read(reader, tokens)) {
       continue;
-    }
-    if (tokens[0] == "NumNodes" || tokens[0] == "NumTerminals") {
-      continue;  // counts are re-derived; trust the entity lines
     }
     if (tokens.size() < 3) {
       fail(path, "bad node line: " + line);
@@ -178,19 +225,39 @@ void parseNodes(const std::string& path, Database& db,
     const double height = reader.positive(tokens[2], "cell height");
     const Index id = db.addCell(tokens[0], width, height, !terminal);
     byName.emplace(tokens[0], id);
+    ++nodes;
+    terminals += terminal ? 1 : 0;
   }
+  num_nodes.check(reader, nodes);
+  num_terminals.check(reader, terminals);
 }
 
 void parseNets(const std::string& path, Database& db,
                const std::unordered_map<std::string, Index>& byName) {
   LineReader reader(path);
   std::string line;
-  Index current_net = kInvalidIndex;
+  HeaderCount num_nets{"NumNets"};
+  HeaderCount num_pins{"NumPins"};
+  Index nets = 0;
+  Index pins = 0;
+  // The open net: its NetDegree line, declared degree and pins still due.
+  int net_line = 0;
+  Index degree = 0;
   Index remaining = 0;
+  Index current_net = kInvalidIndex;
+  const auto closeNet = [&] {
+    if (remaining > 0) {
+      reader.failAt(net_line, "NetDegree",
+                    "net '" + db.netName(current_net) + "' declares " +
+                        std::to_string(degree) + " pins but has " +
+                        std::to_string(degree - remaining));
+    }
+  };
   int anon = 0;
   while (reader.next(line)) {
     auto tokens = tokenize(line);
-    if (tokens.empty() || tokens[0] == "NumNets" || tokens[0] == "NumPins") {
+    if (tokens.empty() || num_nets.read(reader, tokens) ||
+        num_pins.read(reader, tokens)) {
       continue;
     }
     if (tokens[0] == "NetDegree") {
@@ -198,16 +265,14 @@ void parseNets(const std::string& path, Database& db,
       if (tokens.size() < 3 || tokens[1] != ":") {
         fail(path, "bad NetDegree line: " + line);
       }
-      const double degree = reader.number(tokens[2], "NetDegree");
-      if (degree < 0.0 || degree != std::floor(degree) ||
-          degree > std::numeric_limits<Index>::max()) {
-        reader.fail("NetDegree", "must be a non-negative integer, got " +
-                                     tokens[2]);
-      }
-      remaining = static_cast<Index>(degree);
+      closeNet();
+      degree = static_cast<Index>(reader.count(tokens[2], "NetDegree"));
+      remaining = degree;
+      net_line = reader.line();
       std::string name =
           tokens.size() >= 4 ? tokens[3] : ("n" + std::to_string(anon++));
       current_net = db.addNet(std::move(name));
+      ++nets;
       continue;
     }
     // Pin line: "cellName I/O/B : offx offy" (offsets optional).
@@ -232,7 +297,11 @@ void parseNets(const std::string& path, Database& db,
     }
     db.addPin(current_net, it->second, offx, offy);
     --remaining;
+    ++pins;
   }
+  closeNet();
+  num_nets.check(reader, nets);
+  num_pins.check(reader, pins);
 }
 
 void parseWts(const std::string& path, Database&) {
@@ -276,10 +345,11 @@ void parseScl(const std::string& path, Database& db) {
   double min_y = 0;
   double max_x = 0;
   double max_y = 0;
-  bool any = false;
+  HeaderCount num_rows{"NumRows"};
+  Index rows = 0;
   while (reader.next(line)) {
     auto tokens = tokenize(line);
-    if (tokens.empty() || tokens[0] == "NumRows") {
+    if (tokens.empty() || num_rows.read(reader, tokens)) {
       continue;
     }
     if (tokens[0] == "CoreRow") {
@@ -294,12 +364,11 @@ void parseScl(const std::string& path, Database& db) {
     if (tokens[0] == "End") {
       row.xh = row.xl + num_sites * row.siteWidth;
       db.addRow(row);
-      if (!any) {
+      if (rows++ == 0) {
         min_x = row.xl;
         min_y = row.y;
         max_x = row.xh;
         max_y = row.y + row.height;
-        any = true;
       } else {
         min_x = std::min(min_x, row.xl);
         min_y = std::min(min_y, row.y);
@@ -328,7 +397,8 @@ void parseScl(const std::string& path, Database& db) {
       num_sites = reader.positive(tokens[2], "NumSites");
     }
   }
-  if (!any) {
+  num_rows.check(reader, rows);
+  if (rows == 0) {
     fail(path, "no rows found");
   }
   db.setDieArea({min_x, min_y, max_x, max_y});

@@ -168,17 +168,21 @@ TEST_F(BookshelfTest, MalformedNetsThrows) {
                std::runtime_error);
 }
 
-/// Writes a generated design as `<dir>/mut.*`, then sets whitespace-
-/// separated field `field` of the first line of `mut.<ext>` that `pick`
-/// accepts to `value`. Returns the .aux path.
-std::string writeMutated(const fs::path& dir, const std::string& ext,
-                         const std::function<bool(const std::string&)>& pick,
-                         std::size_t field, const std::string& value) {
+GeneratorConfig mutatedDesignConfig() {
   GeneratorConfig cfg;
   cfg.numCells = 200;
   cfg.numPads = 8;
   cfg.seed = 17;
-  writeBookshelf(*generateNetlist(cfg), dir.string(), "mut");
+  return cfg;
+}
+
+/// Writes a generated design as `<dir>/mut.*`, then lets `edit` rewrite
+/// the lines of `mut.<ext>`. Returns the .aux path.
+std::string writeEdited(
+    const fs::path& dir, const std::string& ext,
+    const std::function<void(std::vector<std::string>&)>& edit) {
+  writeBookshelf(*generateNetlist(mutatedDesignConfig()), dir.string(),
+                 "mut");
   const fs::path path = dir / ("mut." + ext);
   std::vector<std::string> lines;
   {
@@ -187,30 +191,55 @@ std::string writeMutated(const fs::path& dir, const std::string& ext,
       lines.push_back(line);
     }
   }
-  bool mutated = false;
-  for (std::string& line : lines) {
-    if (mutated || !pick(line)) {
-      continue;
-    }
-    std::istringstream fields(line);
-    std::vector<std::string> tokens;
-    for (std::string token; fields >> token;) {
-      tokens.push_back(token);
-    }
-    EXPECT_LT(field, tokens.size()) << line;
-    tokens.at(field) = value;
-    line.clear();
-    for (const std::string& token : tokens) {
-      line += (line.empty() ? "" : " ") + token;
-    }
-    mutated = true;
-  }
-  EXPECT_TRUE(mutated) << "no line of " << path << " matched";
+  edit(lines);
   std::ofstream out(path);
   for (const std::string& line : lines) {
     out << line << '\n';
   }
   return (dir / "mut.aux").string();
+}
+
+/// Sets whitespace-separated field `field` of the first line of
+/// `mut.<ext>` that `pick` accepts to `value` (see writeEdited()).
+std::string writeMutated(const fs::path& dir, const std::string& ext,
+                         const std::function<bool(const std::string&)>& pick,
+                         std::size_t field, const std::string& value) {
+  return writeEdited(dir, ext, [&](std::vector<std::string>& lines) {
+    bool mutated = false;
+    for (std::string& line : lines) {
+      if (mutated || !pick(line)) {
+        continue;
+      }
+      std::istringstream fields(line);
+      std::vector<std::string> tokens;
+      for (std::string token; fields >> token;) {
+        tokens.push_back(token);
+      }
+      EXPECT_LT(field, tokens.size()) << line;
+      tokens.at(field) = value;
+      line.clear();
+      for (const std::string& token : tokens) {
+        line += (line.empty() ? "" : " ") + token;
+      }
+      mutated = true;
+    }
+    EXPECT_TRUE(mutated) << "no line of mut." << ext << " matched";
+  });
+}
+
+/// Expects readBookshelf(aux) to throw naming `mut.<ext>`, a line and
+/// `field`.
+void expectReadFails(const std::string& aux, const std::string& ext,
+                     const std::string& field) {
+  try {
+    readBookshelf(aux);
+    ADD_FAILURE() << "no throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("mut." + ext), std::string::npos) << what;
+    EXPECT_NE(what.find(": line "), std::string::npos) << what;
+    EXPECT_NE(what.find(field + ":"), std::string::npos) << what;
+  }
 }
 
 bool contains(const std::string& line, const char* text) {
@@ -256,17 +285,63 @@ TEST_F(BookshelfTest, BadNumbersThrowNamingFileLineAndField) {
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.ext + " " + c.expectField + " = " + c.value);
-    const std::string aux =
-        writeMutated(dir_, c.ext, c.pick, c.field, c.value);
-    try {
-      readBookshelf(aux);
-      ADD_FAILURE() << "no throw";
-    } catch (const std::runtime_error& e) {
-      const std::string what = e.what();
-      EXPECT_TRUE(contains(what, ("mut." + c.ext).c_str())) << what;
-      EXPECT_TRUE(contains(what, ": line ")) << what;
-      EXPECT_TRUE(contains(what, (c.expectField + ":").c_str())) << what;
+    expectReadFails(writeMutated(dir_, c.ext, c.pick, c.field, c.value),
+                    c.ext, c.expectField);
+  }
+}
+
+TEST_F(BookshelfTest, HeaderCountsMustMatchTheFile) {
+  // A truncated .nets once placed the partial netlist with exit 0, and
+  // every header count was ignored.
+  const auto startsWith = [](const char* prefix) {
+    return [prefix](const std::string& l) { return l.rfind(prefix, 0) == 0; };
+  };
+  /// Index of the NetDegree line of the middle net.
+  const auto middleNet = [](const std::vector<std::string>& lines) {
+    std::vector<std::size_t> nets;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      if (lines[i].rfind("NetDegree", 0) == 0) {
+        nets.push_back(i);
+      }
     }
+    return nets.at(nets.size() / 2);
+  };
+  {
+    SCOPED_TRACE(".nets cut inside a net");
+    expectReadFails(
+        writeEdited(dir_, "nets",
+                    [&](std::vector<std::string>& lines) {
+                      lines.resize(middleNet(lines) + 2);
+                    }),
+        "nets", "NetDegree");
+  }
+  {
+    SCOPED_TRACE(".nets cut at a net boundary");
+    expectReadFails(
+        writeEdited(dir_, "nets",
+                    [&](std::vector<std::string>& lines) {
+                      lines.resize(middleNet(lines));
+                    }),
+        "nets", "NumNets");
+  }
+  {
+    SCOPED_TRACE("NetDegree : 50 with 2 pins");
+    expectReadFails(
+        writeMutated(dir_, "nets", startsWith("NetDegree : 2 "), 2, "50"),
+        "nets", "NetDegree");
+  }
+  {
+    SCOPED_TRACE("NumNodes off by one");
+    const Index cells = generateNetlist(mutatedDesignConfig())->numCells();
+    expectReadFails(writeMutated(dir_, "nodes", startsWith("NumNodes"), 2,
+                                 std::to_string(cells + 1)),
+                    "nodes", "NumNodes");
+  }
+  {
+    SCOPED_TRACE("NumRows : 0 with rows present");
+    expectReadFails(
+        writeMutated(dir_, "scl", startsWith("NumRows"), 2, "0"), "scl",
+        "NumRows");
   }
 }
 

@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
+
+#include "common/flow_context.h"
+#include "common/parallel.h"
 #include "gen/netlist_generator.h"
 #include "gp/global_placer.h"
-#include "ops/fence_density_op.h"
+#include "ops/density_op.h"
+#include "place/placer.h"
+#include "place/report.h"
 
 namespace dreamplace {
 namespace {
@@ -53,14 +61,14 @@ TEST(AssignFillerGroupsTest, CoversAllNodesAndGroups) {
   EXPECT_GT(counts[2], 0);
 }
 
-TEST(FenceDensityOpTest, GradientPushesIntrudersTowardTheirFence) {
+TEST(DensityOpFenceTest, GradientPushesIntrudersTowardTheirFence) {
   FenceSetup setup = makeSetup(200);
   Database& db = *setup.db;
   const auto grid = makeGrid<double>(db.dieArea(), db.numMovable(), 16, 32);
   std::vector<double> nodeW, nodeH;
   DensityOp<double>::makeNodeSizes(db, {}, {}, nodeW, nodeH);
   std::vector<int> groups(setup.cellGroup);
-  FenceDensityOp<double> op(db, grid, setup.fences, groups, nodeW, nodeH);
+  DensityOp<double> op(db, grid, setup.fences, groups, nodeW, nodeH);
 
   // Park every cell at the die center (outside both fences).
   const Index n = op.numNodes();
@@ -91,20 +99,102 @@ TEST(FenceDensityOpTest, GradientPushesIntrudersTowardTheirFence) {
   EXPECT_LT(g2 / n2, 0.0);
 }
 
-TEST(FenceDensityOpTest, NodeGeometryAccessors) {
+TEST(DensityOpFenceTest, NodeGeometryAccessors) {
   FenceSetup setup = makeSetup(100);
   Database& db = *setup.db;
   const auto grid = makeGrid<double>(db.dieArea(), db.numMovable(), 16, 32);
   std::vector<double> nodeW, nodeH;
   DensityOp<double>::makeNodeSizes(db, {}, {}, nodeW, nodeH);
-  FenceDensityOp<double> op(db, grid, setup.fences, setup.cellGroup, nodeW,
-                            nodeH);
+  DensityOp<double> op(db, grid, setup.fences, setup.cellGroup, nodeW, nodeH);
   for (Index i = 0; i < db.numMovable(); i += 13) {
     EXPECT_GE(op.nodeWidth(i), db.cellWidth(i) - 1e-9);
     EXPECT_GE(op.nodeHeight(i), db.cellHeight(i) - 1e-9);
     EXPECT_NEAR(op.nodeArea(i), db.cellArea(i), 1e-6 * db.cellArea(i));
-    EXPECT_EQ(op.nodeGroup(i), setup.cellGroup[i]);
+    const int g = setup.cellGroup[i];
+    EXPECT_EQ(op.nodeBox(i),
+              g == 0 ? db.dieArea() : setup.fences[g - 1].box);
   }
+}
+
+TEST(DensityOpFenceTest, RejectsBadFenceInputs) {
+  // Each case once aborted the process (a short cellFence) or returned a
+  // "legal" placement with fence members outside their fence.
+  struct Case {
+    const char* name;
+    std::function<void(PlacerOptions&, const Box<Coord>&)> mutate;
+    std::string expect;
+  };
+  const std::vector<Case> cases = {
+      {"empty cellFence",
+       [](PlacerOptions& o, const Box<Coord>&) { o.gp.cellFence.clear(); },
+       "gp.cellFence"},
+      {"short cellFence",
+       [](PlacerOptions& o, const Box<Coord>&) { o.gp.cellFence.pop_back(); },
+       "gp.cellFence"},
+      {"zero-width fence",
+       [](PlacerOptions& o, const Box<Coord>&) {
+         o.gp.fences[1].box.xh = o.gp.fences[1].box.xl;
+       },
+       "gp.fences[1]"},
+      {"fence outside the die",
+       [](PlacerOptions& o, const Box<Coord>& die) {
+         o.gp.fences[0].box = {die.xh + 10, die.yl, die.xh + 50, die.yh};
+       },
+       "gp.fences[0]"},
+      {"fence smaller than its cells",
+       [](PlacerOptions& o, const Box<Coord>& die) {
+         o.gp.fences[1].box.xl = die.xh - die.width() / 50.0;
+       },
+       "gp.fences[1]"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    FenceSetup setup = makeSetup(300, 91);
+    PlacerOptions options;
+    options.gp.maxIterations = 50;
+    options.gp.fences = setup.fences;
+    options.gp.cellFence = setup.cellGroup;
+    c.mutate(options, setup.db->dieArea());
+    try {
+      placeDesign(*setup.db, options);
+      ADD_FAILURE() << "no throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.expect), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(DensityOpFenceTest, ReportShowsEveryFieldsKernels) {
+  // One scatter/poisson/gather scope per field solve, and every field's
+  // maps in ops/density/grids.
+  FenceSetup setup = makeSetup(600, 85);
+  PlacerOptions options;
+  options.gp.maxIterations = 40;
+  options.gp.binsMax = 32;
+  options.gp.fences = setup.fences;
+  options.gp.cellFence = setup.cellGroup;
+  FlowContext context;
+  RunReport report;
+  placeDesign(*setup.db, options, context, &report);
+
+  ASSERT_EQ(report.counters.count("ops/electrostatics/solve"), 1u);
+  const auto solves = report.counters.at("ops/electrostatics/solve");
+  ASSERT_EQ(report.counters.count("ops/density/evaluate"), 1u);
+  // Three non-empty fields: each evaluate solves three times.
+  EXPECT_EQ(solves, 3 * report.counters.at("ops/density/evaluate"));
+  for (const char* key : {"gp/op/density/scatter", "gp/op/density/poisson",
+                          "gp/op/density/gather"}) {
+    ASSERT_EQ(report.timing.count(key), 1u) << key;
+    EXPECT_EQ(report.timing.at(key).count, solves) << key;
+  }
+  const auto grid = makeGrid<double>(setup.db->dieArea(),
+                                     setup.db->numMovable(), 16, 32);
+  const std::int64_t map_bytes =
+      static_cast<std::int64_t>(grid.mx) * grid.my * sizeof(double);
+  ASSERT_EQ(report.trackedMemory.count("ops/density/grids"), 1u);
+  EXPECT_GE(report.trackedMemory.at("ops/density/grids").peakBytes,
+            3 * map_bytes);
 }
 
 TEST(FenceGlobalPlacerTest, CellsEndUpInsideTheirFences) {
@@ -161,6 +251,38 @@ TEST(FenceGlobalPlacerTest, QualityComparableToUnfenced) {
   const auto r_fenced = placer.run();
   EXPECT_LT(r_fenced.hpwl, 4.0 * r_plain.hpwl);
   EXPECT_GT(r_fenced.hpwl, r_plain.hpwl * 0.9);
+}
+
+TEST(FenceGlobalPlacerTest, BitIdenticalAcrossThreadCounts) {
+  // Large enough that every field has >= 2048 members and takes the
+  // sliced parallel scatter.
+  struct Outcome {
+    double hpwl;
+    std::vector<Coord> x, y;
+  };
+  const auto run = [](int threads) {
+    FenceSetup setup = makeSetup(7000, 7);
+    ThreadPool::instance().setThreads(threads);
+    GlobalPlacerOptions options;
+    options.maxIterations = 60;
+    options.fences = setup.fences;
+    options.cellFence = setup.cellGroup;
+    GlobalPlacer<double> placer(*setup.db, options);
+    Outcome out{placer.run().hpwl, {}, {}};
+    for (Index i = 0; i < setup.db->numMovable(); ++i) {
+      out.x.push_back(setup.db->cellX(i));
+      out.y.push_back(setup.db->cellY(i));
+    }
+    return out;
+  };
+  const Outcome t1 = run(1);
+  for (const int threads : {2, 4}) {
+    const Outcome t = run(threads);
+    EXPECT_EQ(t1.hpwl, t.hpwl) << threads << " threads";
+    EXPECT_EQ(t1.x, t.x) << threads << " threads";
+    EXPECT_EQ(t1.y, t.y) << threads << " threads";
+  }
+  ThreadPool::instance().setThreads(0);
 }
 
 }  // namespace
