@@ -55,7 +55,7 @@ namespace dreamplace::bench {
 //   --log-level=LEVEL         debug|info|warn|error|silent
 // Environment fallbacks: DREAMPLACE_TRACE, DREAMPLACE_TELEMETRY_JSONL,
 // DREAMPLACE_REPORT, DREAMPLACE_REPORT_TEXT,
-// DREAMPLACE_THREADS, DREAMPLACE_LOG_LEVEL, DREAMPLACE_LOG_JSON.
+// DREAMPLACE_THREADS, DREAMPLACE_LOG_LEVEL.
 // Any other flag except --json=<file> and --benchmark_* exits with status
 // 2 and names the flag.
 // ---------------------------------------------------------------------------
@@ -83,7 +83,6 @@ struct BenchFlags {
 inline BenchFlags parseBenchFlags(int argc, char** argv) {
   BenchFlags args;
   initLogLevelFromEnv();
-  initLogJsonFromEnv();
   const auto fromEnv = [](const char* name) {
     const char* v = std::getenv(name);
     return v ? std::string(v) : std::string();

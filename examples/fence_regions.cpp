@@ -3,20 +3,24 @@
 // per region, and visualize the outcome as occupancy statistics.
 //
 //   ./fence_regions [num_cells] [seed]
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 
+#include "common/parse.h"
 #include "db/metrics.h"
 #include "gen/netlist_generator.h"
 #include "gp/global_placer.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace dreamplace;
 
   GeneratorConfig config;
-  config.numCells = argc > 1 ? std::atoi(argv[1]) : 1500;
+  config.numCells = argc > 1 ? parseNumber<Index>(argv[1], "num_cells") : 1500;
   config.utilization = 0.5;
-  config.seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 7;
+  config.seed = argc > 2 ? parseNumber<std::uint64_t>(argv[2], "seed") : 7;
   auto db = generateNetlist(config);
   const Box<Coord>& die = db->dieArea();
 
@@ -55,4 +59,15 @@ int main(int argc, char** argv) {
                   counts[2][0] == 0 && counts[2][1] == 0;
   std::printf("fence containment: %s\n", ok ? "OK" : "VIOLATED");
   return ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

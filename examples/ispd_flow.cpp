@@ -8,10 +8,11 @@
 // (default adaptec1); scale scales the paper's cell counts (default 0.01).
 // To run a real benchmark instead, point `aux` at its .aux file.
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <string>
 
+#include "common/parse.h"
 #include "db/metrics.h"
 #include "gen/netlist_generator.h"
 #include "gen/suites.h"
@@ -19,12 +20,14 @@
 #include "io/bookshelf_writer.h"
 #include "place/placer.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace dreamplace;
   namespace fs = std::filesystem;
 
   const std::string design = argc > 1 ? argv[1] : "adaptec1";
-  const double scale = argc > 2 ? std::atof(argv[2]) : 0.01;
+  const double scale = argc > 2 ? parseNumber<double>(argv[2], "scale") : 0.01;
   const std::string out_dir =
       argc > 3 ? argv[3] : (fs::temp_directory_path() / "ispd_flow").string();
 
@@ -53,4 +56,15 @@ int main(int argc, char** argv) {
   std::printf("placement written to %s/%s.result.pl\n", out_dir.c_str(),
               design.c_str());
   return result.legal ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

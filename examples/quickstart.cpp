@@ -7,21 +7,25 @@
 // stands in for a Bookshelf benchmark (swap in readBookshelf() for real
 // contest data), placeDesign() runs the whole flow, and the metrics
 // helpers verify the result.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 
+#include "common/parse.h"
 #include "db/metrics.h"
 #include "gen/netlist_generator.h"
 #include "place/placer.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace dreamplace;
 
   GeneratorConfig config;
   config.designName = "quickstart";
-  config.numCells = argc > 1 ? std::atoi(argv[1]) : 2000;
+  config.numCells = argc > 1 ? parseNumber<Index>(argv[1], "num_cells") : 2000;
   config.utilization = 0.7;
-  config.seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 42;
+  config.seed = argc > 2 ? parseNumber<std::uint64_t>(argv[2], "seed") : 42;
   auto db = generateNetlist(config);
 
   std::printf("design: %d movable cells, %d nets, %d pins, die %.0f x %.0f\n",
@@ -46,4 +50,15 @@ int main(int argc, char** argv) {
   std::printf("runtime       : GP %.2fs  LG %.2fs  DP %.2fs\n",
               result.gpSeconds, result.lgSeconds, result.dpSeconds);
   return result.legal ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

@@ -4,19 +4,22 @@
 //
 //   ./routability_flow [design_name] [scale]
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <string>
 
+#include "common/parse.h"
 #include "db/metrics.h"
 #include "gen/netlist_generator.h"
 #include "gen/suites.h"
 #include "place/placer.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace dreamplace;
 
   const std::string design = argc > 1 ? argv[1] : "SB19";
-  const double scale = argc > 2 ? std::atof(argv[2]) : 0.01;
+  const double scale = argc > 2 ? parseNumber<double>(argv[2], "scale") : 0.01;
 
   const SuiteEntry entry = findSuiteEntry(design, scale);
   auto db = generateNetlist(entry.config);
@@ -48,4 +51,15 @@ int main(int argc, char** argv) {
               result.nlSeconds, result.grSeconds, result.lgSeconds,
               result.dpSeconds);
   return result.legal ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

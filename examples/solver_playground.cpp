@@ -5,20 +5,24 @@
 // placement-as-training framing.
 //
 //   ./solver_playground [num_cells] [seed]
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 
+#include "common/parse.h"
 #include "common/timer.h"
 #include "db/metrics.h"
 #include "gen/netlist_generator.h"
 #include "place/placer.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace dreamplace;
 
   GeneratorConfig config;
-  config.numCells = argc > 1 ? std::atoi(argv[1]) : 2000;
-  config.seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 3;
+  config.numCells = argc > 1 ? parseNumber<Index>(argv[1], "num_cells") : 2000;
+  config.seed = argc > 2 ? parseNumber<std::uint64_t>(argv[2], "seed") : 3;
 
   struct Entry {
     SolverKind kind;
@@ -48,4 +52,15 @@ int main(int argc, char** argv) {
                 result.overflow);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

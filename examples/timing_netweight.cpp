@@ -7,21 +7,24 @@
 //
 //   ./timing_netweight [num_cells] [rounds]
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 
+#include "common/parse.h"
 #include "db/metrics.h"
 #include "gen/netlist_generator.h"
 #include "place/net_weighting.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace dreamplace;
 
   GeneratorConfig config;
-  config.numCells = argc > 1 ? std::atoi(argv[1]) : 2000;
+  config.numCells = argc > 1 ? parseNumber<Index>(argv[1], "num_cells") : 2000;
   config.seed = 19;
 
   NetWeightingOptions options;
-  options.rounds = argc > 2 ? std::atoi(argv[2]) : 3;
+  options.rounds = argc > 2 ? parseNumber<int>(argv[2], "rounds") : 3;
 
   // Baseline: plain GP through the same code path (0 rounds).
   double base_hpwl = 0;
@@ -49,4 +52,15 @@ int main(int argc, char** argv) {
               100.0 * (1.0 - r.tailNetHpwl / base_tail),
               100.0 * (r.hpwl / base_hpwl - 1.0));
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }

@@ -98,8 +98,8 @@ class FlowContext {
   const std::shared_ptr<MemoryTracker>& memoryPtr() const { return memory_; }
   TraceRecorder& trace() { return *trace_; }
   /// Liveness heartbeat of this flow: the GP loop and the flow driver
-  /// publish into it; the engine watchdog and the metrics exposition read
-  /// it from other threads (common/heartbeat.h).
+  /// publish into it; the engine watchdog reads it from another thread
+  /// (common/heartbeat.h).
   HeartbeatState& heartbeat() { return heartbeat_; }
   const HeartbeatState& heartbeat() const { return heartbeat_; }
   ThreadPool& pool();

@@ -4,8 +4,8 @@
 // whether it is making progress is the loop itself. HeartbeatState is a
 // tiny single-writer/multi-reader publication slot the GP loop (every
 // iteration) and the flow driver (every stage boundary) write into, and
-// that observers — the PlacementEngine watchdog, the metrics exposition —
-// read from another thread without locks and without perturbing the
+// that its one observer — the PlacementEngine watchdog — reads from
+// another thread without locks and without perturbing the
 // deterministic hot path: publishing is a handful of relaxed atomic
 // stores bracketed by a seqlock sequence counter, and readers never
 // write anything the flow can observe.
@@ -28,8 +28,8 @@
 
 namespace dreamplace {
 
-/// Coarse flow position, published at stage boundaries. Values are stable
-/// (exported as metrics gauges and report strings).
+/// Coarse flow position, published at stage boundaries. Names are stable
+/// (they appear in batch reports and watchdog verdicts).
 enum class FlowStage : int {
   kIdle = 0,            ///< Flow created, nothing published yet.
   kGlobalPlacement = 1,
@@ -51,7 +51,6 @@ struct HeartbeatSnapshot {
   double overflow = 0.0;
   std::int64_t timestampMicros = 0;  ///< Monotonic publish time.
 
-  bool everPublished() const { return sequence != 0; }
   /// Seconds between the publish and `nowMicros`.
   double ageSeconds(std::int64_t nowMicros) const {
     return static_cast<double>(nowMicros - timestampMicros) * 1e-6;

@@ -2,11 +2,9 @@
 
 #include <atomic>
 #include <cctype>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -15,11 +13,6 @@ namespace dreamplace {
 namespace {
 std::atomic<LogLevel> g_level{LogLevel::kInfo};
 std::mutex g_mutex;
-
-// JSONL mirror sink; guarded by g_mutex (the same lock that serializes
-// the stderr lines, so text and JSONL stay in the same order).
-std::FILE* g_json_file = nullptr;
-std::string g_json_path;
 
 const char* prefix(LogLevel level) {
   switch (level) {
@@ -40,26 +33,6 @@ const char* prefix(LogLevel level) {
 std::vector<std::pair<std::string, std::string>>& scopeStack() {
   thread_local std::vector<std::pair<std::string, std::string>> stack;
   return stack;
-}
-
-void appendJsonEscaped(std::string& out, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 }  // namespace
 
@@ -106,41 +79,6 @@ bool initLogLevelFromEnv() {
   return true;
 }
 
-void setLogJsonPath(const std::string& path) {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  if (path == g_json_path) {
-    return;  // idempotent: engines and CLIs may both apply the same env
-  }
-  if (g_json_file != nullptr) {
-    std::fclose(g_json_file);
-    g_json_file = nullptr;
-    g_json_path.clear();
-  }
-  if (path.empty()) {
-    return;
-  }
-  std::FILE* f = std::fopen(path.c_str(), "a");
-  if (f == nullptr) {
-    throw std::runtime_error("log: cannot write " + path);
-  }
-  g_json_file = f;
-  g_json_path = path;
-}
-
-bool initLogJsonFromEnv() {
-  const char* env = std::getenv("DREAMPLACE_LOG_JSON");
-  if (env == nullptr || *env == '\0') {
-    return false;
-  }
-  try {
-    setLogJsonPath(env);
-  } catch (const std::exception& e) {
-    logError("log: DREAMPLACE_LOG_JSON: %s", e.what());
-    return false;
-  }
-  return true;
-}
-
 LogScope::LogScope(std::string key, std::string value) {
   scopeStack().emplace_back(std::move(key), std::move(value));
 }
@@ -184,32 +122,6 @@ void vlog(LogLevel level, const char* fmt, std::va_list args) {
   std::fputs(msg, stderr);
   std::fputc('\n', stderr);
   std::fflush(stderr);
-
-  if (g_json_file != nullptr) {
-    const double ts =
-        std::chrono::duration<double>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count();
-    std::string line = "{\"ts\":";
-    char num[64];
-    std::snprintf(num, sizeof(num), "%.6f", ts);
-    line += num;
-    line += ",\"level\":\"";
-    line += logLevelName(level);
-    line += '"';
-    for (const auto& [key, value] : scopes) {
-      line += ",\"";
-      appendJsonEscaped(line, key);
-      line += "\":\"";
-      appendJsonEscaped(line, value);
-      line += '"';
-    }
-    line += ",\"msg\":\"";
-    appendJsonEscaped(line, msg);
-    line += "\"}\n";
-    std::fputs(line.c_str(), g_json_file);
-    std::fflush(g_json_file);
-  }
 }
 }  // namespace detail
 

@@ -6,10 +6,7 @@
 // Structured context: a RAII LogScope stamps key=value pairs (job name,
 // design label) onto every line the current thread emits while the scope
 // is alive, so interleaved lines from concurrent engine jobs stay
-// attributable. An optional JSONL sink (DREAMPLACE_LOG_JSON=<path>, or
-// setLogJsonPath) mirrors every emitted line as one JSON object —
-// {"ts":…,"level":…,<scope keys>,"msg":…} — making engine lifecycle
-// events machine-parseable. See docs/OBSERVABILITY.md.
+// attributable. See docs/OBSERVABILITY.md.
 #pragma once
 
 #include <cstdarg>
@@ -42,19 +39,8 @@ bool parseLogLevel(std::string_view name, LogLevel& out);
 /// ignored (logging must not break a run).
 bool initLogLevelFromEnv();
 
-/// Mirrors every emitted log line to `path` as one JSON object per line
-/// (append mode). An empty path disables the sink. Throws
-/// std::runtime_error("log: cannot write <path>") when the file cannot be
-/// opened. Re-setting the same path is a no-op.
-void setLogJsonPath(const std::string& path);
-
-/// Applies DREAMPLACE_LOG_JSON when set; an unopenable path logs an error
-/// and returns false instead of throwing (env-driven config must not kill
-/// a run that never asked for logs programmatically).
-bool initLogJsonFromEnv();
-
 /// RAII structured-log context: while alive, every log line emitted by
-/// *this thread* carries "key=value" (text) / "key":"value" (JSONL).
+/// *this thread* carries "key=value".
 /// Scopes nest; destruction must be LIFO (automatic with block scoping).
 class LogScope {
  public:

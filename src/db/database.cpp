@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 
 #include "common/log.h"
@@ -11,8 +13,6 @@ namespace dreamplace {
 Index Database::addCell(std::string name, Coord width, Coord height,
                         bool movable) {
   DP_ASSERT_MSG(!finalized_, "addCell after finalize");
-  DP_ASSERT_MSG(width > 0 && height > 0, "cell %s has non-positive size",
-                name.c_str());
   cell_name_.push_back(std::move(name));
   cell_width_.push_back(width);
   cell_height_.push_back(height);
@@ -31,8 +31,6 @@ Index Database::addNet(std::string name, double weight) {
 
 Index Database::addPin(Index net, Index cell, Coord offsetX, Coord offsetY) {
   DP_ASSERT_MSG(!finalized_, "addPin after finalize");
-  DP_ASSERT(net >= 0 && net < static_cast<Index>(net_name_.size()));
-  DP_ASSERT(cell >= 0 && cell < numCells());
   pin_cell_.push_back(cell);
   pin_net_.push_back(net);
   pin_offset_x_.push_back(offsetX);
@@ -48,6 +46,7 @@ void Database::setCellPosition(Index cell, Coord x, Coord y) {
 
 void Database::finalize() {
   DP_ASSERT_MSG(!finalized_, "finalize called twice");
+  validate();
 
   const Index n = numCells();
   // Stable movable-first permutation: newIndex[oldIndex].
@@ -118,7 +117,6 @@ void Database::finalize() {
   std::sort(name_index_.begin(), name_index_.end());
 
   finalized_ = true;
-  validate();
 
   const auto vec_bytes = [](const auto& v) {
     return static_cast<std::int64_t>(
@@ -151,18 +149,38 @@ void Database::buildCellPinCsr() {
 }
 
 void Database::validate() const {
-  DP_ASSERT_MSG(die_area_.width() > 0 && die_area_.height() > 0,
-                "die area is empty");
+  const auto fail = [](const std::string& what) {
+    throw std::invalid_argument("Database: " + what);
+  };
+  if (!(die_area_.width() > 0 && die_area_.height() > 0)) {
+    fail("die area is empty");
+  }
   for (Index i = 0; i < numCells(); ++i) {
-    DP_ASSERT(cell_width_[i] > 0 && cell_height_[i] > 0);
+    if (!(cell_width_[i] > 0 && cell_height_[i] > 0)) {
+      fail("cell " + cell_name_[i] + " has non-positive size " +
+           std::to_string(cell_width_[i]) + " x " +
+           std::to_string(cell_height_[i]));
+    }
   }
-  for (Index e = 0; e < numNets(); ++e) {
-    DP_ASSERT_MSG(netDegree(e) >= 1, "net %s has no pins",
-                  net_name_[e].c_str());
+  const Index num_nets = static_cast<Index>(net_name_.size());
+  std::vector<Index> degree(num_nets, 0);
+  for (std::size_t p = 0; p < pin_cell_.size(); ++p) {
+    if (pin_net_[p] < 0 || pin_net_[p] >= num_nets) {
+      fail("pin " + std::to_string(p) + " has net index " +
+           std::to_string(pin_net_[p]) + " outside [0, " +
+           std::to_string(num_nets) + ")");
+    }
+    if (pin_cell_[p] < 0 || pin_cell_[p] >= numCells()) {
+      fail("pin " + std::to_string(p) + " of net " + net_name_[pin_net_[p]] +
+           " has cell index " + std::to_string(pin_cell_[p]) +
+           " outside [0, " + std::to_string(numCells()) + ")");
+    }
+    ++degree[pin_net_[p]];
   }
-  for (Index p = 0; p < numPins(); ++p) {
-    DP_ASSERT(pin_cell_[p] >= 0 && pin_cell_[p] < numCells());
-    DP_ASSERT(pin_net_[p] >= 0 && pin_net_[p] < numNets());
+  for (Index e = 0; e < num_nets; ++e) {
+    if (degree[e] == 0) {
+      fail("net " + net_name_[e] + " has no pins");
+    }
   }
 }
 

@@ -39,12 +39,14 @@ class Database {
 
   /// Adds a cell; returns its index. Movable/fixed partitioning is applied
   /// in finalize() by stable re-ordering, so builders may add in any order.
+  /// finalize() checks that the size is positive.
   Index addCell(std::string name, Coord width, Coord height, bool movable);
 
   /// Adds a net; returns its index.
   Index addNet(std::string name, double weight = 1.0);
 
   /// Adds a pin on `cell` belonging to `net`, with offsets from cell center.
+  /// finalize() range-checks `net` and `cell`.
   Index addPin(Index net, Index cell, Coord offsetX, Coord offsetY);
 
   void setDieArea(const Box<Coord>& area) { die_area_ = area; }
@@ -53,8 +55,11 @@ class Database {
   /// Sets the initial location (lower-left) of a cell.
   void setCellPosition(Index cell, Coord x, Coord y);
 
-  /// Re-orders cells movable-first, builds CSR maps, validates. Must be
-  /// called exactly once after all entities are added.
+  /// Validates, then re-orders cells movable-first and builds CSR maps.
+  /// Must be called exactly once after all entities are added. Throws
+  /// std::invalid_argument naming the offending field, cell, net or pin
+  /// (empty die, non-positive cell size, a net with no pins, a pin index
+  /// out of range) and leaves the database unfinalized.
   void finalize();
   bool finalized() const { return finalized_; }
 

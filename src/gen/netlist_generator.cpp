@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -46,7 +48,10 @@ Coord sampleCellWidth(Rng& rng, Coord siteWidth) {
 }  // namespace
 
 std::unique_ptr<Database> generateNetlist(const GeneratorConfig& config) {
-  DP_ASSERT(config.numCells >= 2);
+  if (config.numCells < 2) {
+    throw std::invalid_argument("generateNetlist: numCells must be >= 2 (got " +
+                                std::to_string(config.numCells) + ")");
+  }
   Rng rng(config.seed, /*stream=*/0x9e3779b97f4a7c15ULL);
   auto db = std::make_unique<Database>();
 

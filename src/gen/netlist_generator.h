@@ -41,7 +41,8 @@ struct GeneratorConfig {
   Coord siteWidth = 1;
 };
 
-/// Generates a finalized database per `config`.
+/// Generates a finalized database per `config`. Throws
+/// std::invalid_argument when numCells < 2.
 std::unique_ptr<Database> generateNetlist(const GeneratorConfig& config);
 
 }  // namespace dreamplace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/log.h"
+#include "common/parse.h"
 #include "common/timer.h"
 
 namespace dreamplace {
@@ -64,13 +65,7 @@ class LineReader {
   /// otherwise.
   double number(const std::string& token, const char* field) const {
     double value = 0.0;
-    std::size_t used = 0;
-    try {
-      value = std::stod(token, &used);
-    } catch (const std::exception&) {
-      used = 0;
-    }
-    if (used == 0 || used != token.size() || !std::isfinite(value)) {
+    if (!parseFinite(token, value)) {
       fail(field, "'" + token + "' is not a finite number");
     }
     return value;
@@ -267,6 +262,9 @@ void parseNets(const std::string& path, Database& db,
       }
       closeNet();
       degree = static_cast<Index>(reader.count(tokens[2], "NetDegree"));
+      if (degree < 1) {
+        reader.fail("NetDegree", "must be at least 1, got " + tokens[2]);
+      }
       remaining = degree;
       net_line = reader.line();
       std::string name =
@@ -384,7 +382,7 @@ void parseScl(const std::string& path, Database& db) {
       row.height = reader.positive(tokens[2], "Height");
     } else if ((tokens[0] == "Sitewidth" || tokens[0] == "Sitespacing") &&
                tokens.size() >= 3) {
-      row.siteWidth = reader.number(tokens[2], tokens[0].c_str());
+      row.siteWidth = reader.positive(tokens[2], tokens[0].c_str());
     } else if (tokens[0] == "SubrowOrigin" && tokens.size() >= 3) {
       row.xl = reader.number(tokens[2], "SubrowOrigin");
       // "SubrowOrigin : x NumSites : n" may share a line.

@@ -50,7 +50,7 @@ std::string encodeCheckpoint(const CheckpointData& data);
 /// document.
 CheckpointData decodeCheckpoint(const std::string& bytes);
 
-/// Atomic write (tmp+rename, same idiom as writeMetricsFile). Returns
+/// Atomic write: writes `path`.tmp, then renames it over `path`. Returns
 /// false with a message in `error` on failure.
 bool writeCheckpointFile(const std::string& path, const CheckpointData& data,
                          std::string* error = nullptr);

@@ -16,7 +16,6 @@
 #include "common/heartbeat.h"
 #include "common/json_writer.h"
 #include "common/log.h"
-#include "common/metrics_export.h"
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "place/checkpoint.h"
@@ -62,10 +61,6 @@ void EngineOptions::validate() const {
     fail("watchdogPeriodSeconds must be > 0 (got " +
          std::to_string(watchdogPeriodSeconds) + ")");
   }
-  if (!(metricsPeriodSeconds > 0.0)) {
-    fail("metricsPeriodSeconds must be > 0 (got " +
-         std::to_string(metricsPeriodSeconds) + ")");
-  }
 
   if (!errors.empty()) {
     throw std::invalid_argument("EngineOptions: " + errors);
@@ -84,10 +79,9 @@ const char* statusName(JobStatus status) {
 }
 
 bool isOrderDependentCounter(std::string_view key) {
-  // Watchdog samples and metrics exports are wall-clock sampling: how
-  // many land on a flow depends on machine speed, never on the flow's
-  // algorithmic work.
-  if (key.substr(0, 7) == "health/" || key.substr(0, 8) == "metrics/") {
+  // Watchdog samples are wall-clock sampling: how many land on a flow
+  // depends on machine speed, never on the flow's algorithmic work.
+  if (key.substr(0, 7) == "health/") {
     return true;
   }
   // Pool scheduling: who started the workers, how blocks were claimed,
@@ -195,7 +189,7 @@ std::string BatchReport::toJson() const {
 
 // ---------------------------------------------------------------------------
 // Monitor: one engine-scoped thread sampling the active flows' heartbeats
-// and (optionally) exporting the metrics file.
+// and applying the stall/divergence policies.
 // ---------------------------------------------------------------------------
 
 /// All fields are guarded by the engine's monitor_mutex_: the monitor
@@ -219,23 +213,9 @@ struct PlacementEngine::FlowWatch {
   HeartbeatSnapshot last;
 };
 
-bool PlacementEngine::monitorNeeded() const {
-  return options_.watchdogEnabled() || !options_.metricsFile.empty();
-}
-
 void PlacementEngine::startMonitor() {
-  if (!monitorNeeded()) {
+  if (!options_.watchdogEnabled()) {
     return;
-  }
-  if (!options_.metricsFile.empty()) {
-    // Fail the batch up front on an unwritable metrics path: the user
-    // asked for a live view, and discovering the file is missing after
-    // the batch defeats the point.
-    std::string error;
-    if (!writeMetricsFile(options_.metricsFile, renderPrometheusMetrics({}),
-                          &error)) {
-      throw std::runtime_error(error);
-    }
   }
   monitor_stop_ = false;
   monitor_ = std::thread([this]() { monitorLoop(); });
@@ -257,31 +237,16 @@ void PlacementEngine::monitorLoop() {
   const auto period =
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
           std::chrono::duration<double>(options_.watchdogPeriodSeconds));
-  const auto metrics_period =
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(options_.metricsPeriodSeconds));
   std::unique_lock<std::mutex> lock(monitor_mutex_);
-  auto next_export = std::chrono::steady_clock::now() + metrics_period;
   while (!monitor_stop_) {
     monitor_cv_.wait_for(lock, period);
     if (monitor_stop_) {
       break;
     }
     const auto now = std::chrono::steady_clock::now();
-    if (options_.watchdogEnabled()) {
-      for (const std::shared_ptr<FlowWatch>& watch : active_) {
-        sampleWatch(*watch, now);
-      }
+    for (const std::shared_ptr<FlowWatch>& watch : active_) {
+      sampleWatch(*watch, now);
     }
-    if (!options_.metricsFile.empty() && now >= next_export) {
-      exportMetricsLocked();
-      next_export = now + metrics_period;
-    }
-  }
-  if (!options_.metricsFile.empty()) {
-    // Final rewrite so the file reflects the post-batch state (no active
-    // flows) instead of a stale mid-run snapshot.
-    exportMetricsLocked();
   }
 }
 
@@ -348,26 +313,9 @@ void PlacementEngine::sampleWatch(FlowWatch& watch,
   }
 }
 
-void PlacementEngine::exportMetricsLocked() {
-  std::vector<MetricsSource> sources;
-  sources.reserve(active_.size());
-  for (const std::shared_ptr<FlowWatch>& watch : active_) {
-    if (watch->context != nullptr) {
-      sources.push_back({watch->name, watch->context});
-    }
-  }
-  std::string error;
-  if (!writeMetricsFile(options_.metricsFile, renderPrometheusMetrics(sources),
-                        &error)) {
-    // The initial write in startMonitor() succeeded, so this is a
-    // transient/environmental failure mid-batch; keep the jobs running.
-    logWarn("engine: %s", error.c_str());
-  }
-}
-
 std::shared_ptr<PlacementEngine::FlowWatch> PlacementEngine::registerFlow(
     const std::string& name, FlowContext* context) {
-  if (!monitorNeeded()) {
+  if (!options_.watchdogEnabled()) {
     return nullptr;
   }
   auto watch = std::make_shared<FlowWatch>();
@@ -406,10 +354,9 @@ void PlacementEngine::unregisterFlow(const std::shared_ptr<FlowWatch>& watch,
 PlacementEngine::PlacementEngine(EngineOptions options)
     : options_(std::move(options)), pool_(std::make_unique<ThreadPool>()) {
   options_.validate();
-  // Structured-log configuration is engine-adjacent observability; apply
-  // the env knobs here so embedding programs get them without CLI help.
+  // Log-level configuration is engine-adjacent observability; apply the
+  // env knob here so embedding programs get it without CLI help.
   initLogLevelFromEnv();
-  initLogJsonFromEnv();
   if (options_.threads > 0) {
     pool_->setThreads(options_.threads);
   }

@@ -24,11 +24,10 @@
 // heartbeat (common/heartbeat.h) and applies the stall/divergence
 // policies in EngineOptions, cancelling sick flows cooperatively via
 // FlowContext::requestCancel() — terminal states kDiverged/kStalled,
-// never retried. The same thread can periodically render a Prometheus
-// metrics file of all active jobs (common/metrics_export.h). Both only
-// read flow state, so determinism is unaffected; their bookkeeping
-// counters (health/checks, metrics/exports) are wall-clock-dependent and
-// listed order-dependent. docs/OBSERVABILITY.md documents the policies.
+// never retried. The monitor only reads flow state, so determinism is
+// unaffected; its bookkeeping counter (health/checks) is wall-clock-
+// dependent and listed order-dependent. docs/OBSERVABILITY.md documents
+// the policies.
 #pragma once
 
 #include <chrono>
@@ -72,7 +71,7 @@ struct EngineOptions {
   /// Event capacity of each job's private trace recorder; 0 = default.
   std::size_t traceCapacity = 0;
 
-  // --- Live health & metrics (docs/OBSERVABILITY.md) ----------------------
+  // --- Live health (docs/OBSERVABILITY.md) --------------------------------
   /// Stall policy: a job whose heartbeat has not advanced for this many
   /// seconds is cancelled with terminal status `stalled`. Must exceed the
   /// longest heartbeat gap of a healthy flow (LG/DP stages publish only
@@ -87,18 +86,11 @@ struct EngineOptions {
   /// Consecutive over-ratio observations before the diverged verdict; a
   /// healthy sample resets the run. Must be >= 1.
   int divergenceSamples = 3;
-  /// Watchdog/metrics sampling period. Must be > 0.
+  /// Watchdog sampling period. Must be > 0.
   double watchdogPeriodSeconds = 0.05;
-  /// When non-empty, the monitor thread periodically renders a Prometheus
-  /// text exposition of every active job (common/metrics_export.h) and
-  /// atomically rewrites this file (tmp+rename). run() fails up front if
-  /// the path is unwritable.
-  std::string metricsFile;
-  /// Seconds between metrics-file rewrites. Must be > 0.
-  double metricsPeriodSeconds = 1.0;
 
-  /// True when a health policy is configured (monitor thread samples
-  /// heartbeats, not just metrics).
+  /// True when a health policy is configured (the monitor thread runs and
+  /// samples heartbeats).
   bool watchdogEnabled() const {
     return stallSeconds > 0.0 || divergenceHpwlRatio > 0.0;
   }
@@ -191,7 +183,7 @@ struct BatchReport {
 /// True for counter keys whose values legitimately differ between serial
 /// and concurrent batch runs: they attribute *shared infrastructure* (pool
 /// start/steal/contention depend on scheduling) or wall-clock sampling
-/// (watchdog, metrics exports), not algorithmic work. Everything else —
+/// (watchdog checks), not algorithmic work. Everything else —
 /// op evaluate/solve counts, FFT plan and transform counts, optimizer
 /// steps, parallel/jobs and parallel/tasks — is deterministic per flow
 /// and safe to compare bit-for-bit.
@@ -247,7 +239,6 @@ class PlacementEngine {
   // including the context pointer a watch holds — happens under
   // monitor_mutex_; runJob() unregisters a watch under the same mutex
   // before its stack-local FlowContext dies.
-  bool monitorNeeded() const;
   void startMonitor();
   void stopMonitor();
   void monitorLoop();
@@ -257,7 +248,6 @@ class PlacementEngine {
                       JobHealth& health);
   void sampleWatch(FlowWatch& watch,
                    std::chrono::steady_clock::time_point now);
-  void exportMetricsLocked();
 
   EngineOptions options_;
   std::unique_ptr<ThreadPool> pool_;

@@ -248,8 +248,9 @@ bool contains(const std::string& line, const char* text) {
 
 TEST_F(BookshelfTest, BadNumbersThrowNamingFileLineAndField) {
   // Each case once crashed the reader or a later stage (SIGSEGV on a nan
-  // pin offset or /FIXED x, an assert abort on a non-positive size) or
-  // was accepted silently (Height : 0, NumSites : -5).
+  // pin offset or /FIXED x, an assert abort on a non-positive size,
+  // NetDegree : 0 or Sitespacing : 0) or was accepted silently
+  // (Height : 0, NumSites : -5, Sitewidth : 0).
   const auto movableNode = [](const std::string& l) {
     return !l.empty() && l[0] == '\t' && !contains(l, "terminal");
   };
@@ -268,6 +269,8 @@ TEST_F(BookshelfTest, BadNumbersThrowNamingFileLineAndField) {
       {"nets", pinLine, 4, "1e999", "pin offset y"},
       {"nets", [](const std::string& l) { return contains(l, "NetDegree"); },
        2, "two", "NetDegree"},
+      {"nets", [](const std::string& l) { return contains(l, "NetDegree"); },
+       2, "0", "NetDegree"},
       {"pl", [](const std::string& l) { return contains(l, "/FIXED"); }, 1,
        "nan", "x"},
       {"pl", [](const std::string& l) { return contains(l, " : N"); }, 2,
@@ -282,6 +285,10 @@ TEST_F(BookshelfTest, BadNumbersThrowNamingFileLineAndField) {
        5, "-5", "NumSites"},
       {"scl", [](const std::string& l) { return contains(l, "Coordinate"); },
        2, "inf", "Coordinate"},
+      {"scl", [](const std::string& l) { return contains(l, "Sitewidth"); },
+       2, "0", "Sitewidth"},
+      {"scl", [](const std::string& l) { return contains(l, "Sitespacing"); },
+       2, "0", "Sitespacing"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.ext + " " + c.expectField + " = " + c.value);

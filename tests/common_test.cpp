@@ -3,9 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <stdexcept>
 #include <string>
 #include <set>
 #include <thread>
@@ -447,44 +444,6 @@ TEST(LogTest, LogScopeStacksPerThread) {
     EXPECT_EQ(LogScope::currentText(), "job=eng7");
   }
   EXPECT_EQ(LogScope::currentText(), "");
-}
-
-TEST(LogTest, JsonlSinkMirrorsLinesWithScopes) {
-  namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "dp_log_test";
-  fs::create_directories(dir);
-  const fs::path path = dir / "log.jsonl";
-  std::remove(path.c_str());
-
-  // The sink sits behind the same threshold as stderr, so the test logs
-  // at error level (one visible stderr line is acceptable test noise).
-  const LogLevel saved = logLevel();
-  setLogLevel(LogLevel::kError);
-  setLogJsonPath(path.string());
-  {
-    LogScope job("job", "j\\1");
-    logError("sink check %d", 42);
-  }
-  setLogJsonPath("");  // close so the buffer is flushed for reading
-  setLogLevel(saved);
-
-  std::ifstream in(path);
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_NE(line.find("\"level\":\"error\""), std::string::npos) << line;
-  EXPECT_NE(line.find("\"job\":\"j\\\\1\""), std::string::npos) << line;
-  EXPECT_NE(line.find("sink check 42"), std::string::npos) << line;
-  EXPECT_NE(line.find("\"ts\":"), std::string::npos) << line;
-}
-
-TEST(LogTest, JsonlSinkThrowsOnUnwritablePath) {
-  try {
-    setLogJsonPath("/nonexistent_dir_dp/log.jsonl");
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("log: cannot write"),
-              std::string::npos);
-  }
 }
 
 }  // namespace

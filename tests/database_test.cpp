@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "db/database.h"
 
 namespace dreamplace {
@@ -8,7 +13,8 @@ namespace {
 /// Builds a tiny 4-cell, 2-net design used across database tests:
 ///   movable a (8x12), fixed pad p (1x12), movable b (4x12), movable c.
 ///   net n1: a, b, p;  net n2: b, c.
-Database makeTinyDb() {
+/// `edit` runs on the unfinalized database just before finalize().
+Database makeTinyDb(const std::function<void(Database&)>& edit = {}) {
   Database db;
   const Index a = db.addCell("a", 8, 12, true);
   const Index p = db.addCell("p", 1, 12, false);  // fixed added in middle
@@ -29,8 +35,42 @@ Database makeTinyDb() {
   db.setCellPosition(p, 100, 0);
   db.setCellPosition(b, 20, 12);
   db.setCellPosition(c, 40, 24);
+  if (edit) {
+    edit(db);
+  }
   db.finalize();
   return db;
+}
+
+TEST(DatabaseTest, FinalizeThrowsNamingTheBadInput) {
+  // Each case once aborted the process on an assert instead of reporting
+  // the bad input to the caller.
+  struct Case {
+    std::function<void(Database&)> edit;
+    std::string expect;
+  };
+  const std::vector<Case> cases = {
+      {[](Database& db) { db.setDieArea({0, 0, 0, 48}); },
+       "die area is empty"},
+      {[](Database& db) { db.addCell("z", 0, 12, true); },
+       "cell z has non-positive size"},
+      {[](Database& db) { db.addCell("h", 4, -12, true); },
+       "cell h has non-positive size"},
+      {[](Database& db) { db.addNet("lonely"); }, "net lonely has no pins"},
+      {[](Database& db) { db.addPin(0, 99, 0, 0); },
+       "of net n1 has cell index 99"},
+      {[](Database& db) { db.addPin(7, 0, 0, 0); }, "has net index 7"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.expect);
+    try {
+      makeTinyDb(c.edit);
+      ADD_FAILURE() << "no throw";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.expect), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(DatabaseTest, CountsAndPartitioning) {

@@ -45,9 +45,10 @@ std::vector<T> centerParams(const Database& db, Index numNodes) {
 TEST(DeterminismTest, FlowIsBitIdenticalAcrossThreadCounts) {
   // Same seed, same options, three thread counts: the final HPWL and
   // overflow must match to the last bit (EXPECT_EQ on doubles, no
-  // tolerance). On a 1-core machine the 2/4-thread runs execute
-  // oversubscribed, which still exercises the block decomposition and
-  // ordered combination the contract relies on.
+  // tolerance). The 1-thread run takes the serial inline path; the 2- and
+  // 4-thread runs split the work into blocks that pool workers run, so
+  // this pins the block decomposition and ordered combination the
+  // contract relies on.
   struct Outcome {
     double hpwlGp, hpwlLegal, hpwl, overflow;
     int iterations;

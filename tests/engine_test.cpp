@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/flow_context.h"
-#include "common/metrics_export.h"
 #include "gen/netlist_generator.h"
 #include "place/engine.h"
 #include "place/report_check.h"
@@ -80,7 +79,6 @@ TEST(EngineOptionsTest, ValidateRejectsBadValues) {
   options.divergenceHpwlRatio = 0.5;  // must be 0 or > 1
   options.divergenceSamples = 0;
   options.watchdogPeriodSeconds = 0.0;
-  options.metricsPeriodSeconds = -1.0;
   try {
     options.validate();
     FAIL() << "expected std::invalid_argument";
@@ -94,7 +92,6 @@ TEST(EngineOptionsTest, ValidateRejectsBadValues) {
     EXPECT_NE(message.find("divergenceHpwlRatio"), std::string::npos);
     EXPECT_NE(message.find("divergenceSamples"), std::string::npos);
     EXPECT_NE(message.find("watchdogPeriodSeconds"), std::string::npos);
-    EXPECT_NE(message.find("metricsPeriodSeconds"), std::string::npos);
   }
 
   EngineOptions healthy;
@@ -107,9 +104,8 @@ TEST(EngineTest, OrderDependentCounterFilter) {
   EXPECT_TRUE(isOrderDependentCounter("parallel/steals"));
   EXPECT_TRUE(isOrderDependentCounter("parallel/pool_start"));
   EXPECT_TRUE(isOrderDependentCounter("parallel/contended"));
-  // Watchdog samples and metrics exports are wall-clock sampling.
+  // Watchdog samples are wall-clock sampling.
   EXPECT_TRUE(isOrderDependentCounter("health/checks"));
-  EXPECT_TRUE(isOrderDependentCounter("metrics/exports"));
   EXPECT_FALSE(isOrderDependentCounter("parallel/jobs"));
   EXPECT_FALSE(isOrderDependentCounter("fft/dct2d"));
   // Every flow builds and owns its FFT plans, so the plan count is a
@@ -123,8 +119,7 @@ TEST(EngineTest, OrderDependentCounterFilter) {
       {"fft/dct2d", 10},
       {"fft/plan/create", 3},
       {"parallel/steals", 42},
-      {"health/checks", 17},
-      {"metrics/exports", 4}};
+      {"health/checks", 17}};
   const auto filtered = deterministicCounters(mixed);
   EXPECT_EQ(filtered.size(), 2u);
   EXPECT_EQ(filtered.count("fft/dct2d"), 1u);
@@ -167,23 +162,18 @@ TEST(EngineTest, ResumeVariantCounterFilter) {
 // The tentpole acceptance test: three jobs run concurrently produce
 // per-job results and reports bit-identical (float64) to the same jobs
 // run serially — outside wall-times and the order-dependent counters.
-// Both runs keep the watchdog AND the metrics sampler enabled: the
-// monitor thread only reads flow state, so health sampling must not
-// perturb determinism (docs/OBSERVABILITY.md).
+// Both runs keep the watchdog enabled: the monitor thread only reads
+// flow state, so health sampling must not perturb determinism
+// (docs/OBSERVABILITY.md).
 TEST(EngineTest, ConcurrentMatchesSerialBitExact) {
   std::vector<std::unique_ptr<Database>> serialDbs;
   std::vector<std::unique_ptr<Database>> concurrentDbs;
-  const fs::path metricsDir =
-      fs::temp_directory_path() / "dp_engine_metrics_test";
-  fs::create_directories(metricsDir);
 
   EngineOptions serialOptions;
   serialOptions.maxConcurrentJobs = 1;
   serialOptions.stallSeconds = 60.0;           // watchdog on, never fires
   serialOptions.divergenceHpwlRatio = 1.0e6;   // watchdog on, never fires
   serialOptions.watchdogPeriodSeconds = 0.01;
-  serialOptions.metricsFile = (metricsDir / "serial.prom").string();
-  serialOptions.metricsPeriodSeconds = 0.02;
   PlacementEngine serialEngine(serialOptions);
   const BatchReport serial = serialEngine.run(makeJobs(serialDbs));
 
@@ -192,8 +182,6 @@ TEST(EngineTest, ConcurrentMatchesSerialBitExact) {
   concurrentOptions.stallSeconds = 60.0;
   concurrentOptions.divergenceHpwlRatio = 1.0e6;
   concurrentOptions.watchdogPeriodSeconds = 0.01;
-  concurrentOptions.metricsFile = (metricsDir / "concurrent.prom").string();
-  concurrentOptions.metricsPeriodSeconds = 0.02;
   PlacementEngine concurrentEngine(concurrentOptions);
   const BatchReport concurrent = concurrentEngine.run(makeJobs(concurrentDbs));
 
@@ -247,14 +235,6 @@ TEST(EngineTest, ConcurrentMatchesSerialBitExact) {
       EXPECT_EQ(c.report.gpRuns[r].finalLambda,
                 s.report.gpRuns[r].finalLambda);
     }
-  }
-
-  // The metrics sampler left valid Prometheus expositions behind.
-  for (const char* name : {"serial.prom", "concurrent.prom"}) {
-    const std::string text = readFile(metricsDir / name);
-    ASSERT_FALSE(text.empty()) << name;
-    std::string error;
-    EXPECT_TRUE(validatePrometheusText(text, &error)) << name << ": " << error;
   }
 }
 

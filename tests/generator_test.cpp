@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
+#include <string>
 
 #include "db/metrics.h"
 #include "gen/netlist_generator.h"
@@ -122,6 +124,20 @@ TEST(GeneratorTest, AllNetsHaveAtLeastTwoPins) {
   auto db = generateNetlist(cfg);
   for (Index e = 0; e < db->numNets(); ++e) {
     EXPECT_GE(db->netDegree(e), 2);
+  }
+}
+
+TEST(GeneratorTest, FewerThanTwoCellsThrowsNamingTheField) {
+  for (const Index n : {-3, 0, 1}) {
+    GeneratorConfig cfg;
+    cfg.numCells = n;
+    try {
+      generateNetlist(cfg);
+      ADD_FAILURE() << "no throw for numCells = " << n;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("numCells"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

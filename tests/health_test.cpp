@@ -1,19 +1,21 @@
-// Live health subsystem (docs/OBSERVABILITY.md): the engine watchdog
-// must cancel diverging and stalled jobs quickly, deliver terminal
-// verdicts that are never retried, and surface the health section in the
-// BatchReport; requested observability exports (run report, telemetry
-// JSONL, metrics file) must fail the flow loudly when unwritable instead
-// of silently vanishing.
+// Live health subsystem (docs/OBSERVABILITY.md): the seqlock heartbeat
+// (common/heartbeat.h) must never show a torn snapshot to a concurrent
+// reader; the engine watchdog must cancel diverging and stalled jobs
+// quickly, deliver terminal verdicts that are never retried, and surface
+// the health section in the BatchReport; requested observability exports
+// (run report, telemetry JSONL) must fail the flow loudly when unwritable
+// instead of silently vanishing.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
-#include <filesystem>
+#include <cmath>
 #include <memory>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/flow_context.h"
+#include "common/heartbeat.h"
 #include "gen/netlist_generator.h"
 #include "place/engine.h"
 #include "place/report.h"
@@ -21,8 +23,6 @@
 
 namespace dreamplace {
 namespace {
-
-namespace fs = std::filesystem;
 
 std::unique_ptr<Database> healthDesign(std::uint64_t seed,
                                        Index numCells = 400) {
@@ -33,6 +33,90 @@ std::unique_ptr<Database> healthDesign(std::uint64_t seed,
   cfg.seed = seed;
   return generateNetlist(cfg);
 }
+
+// --- Heartbeat: the watchdog's only input. ------------------------------
+
+TEST(HeartbeatTest, StartsUnpublishedAndRoundTripsPublishes) {
+  HeartbeatState heartbeat;
+  HeartbeatSnapshot snapshot = heartbeat.read();
+  EXPECT_EQ(snapshot.sequence, 0u);
+  EXPECT_EQ(snapshot.stage, FlowStage::kIdle);
+
+  heartbeat.beginStage(FlowStage::kGlobalPlacement);
+  snapshot = heartbeat.read();
+  EXPECT_NE(snapshot.sequence, 0u);
+  EXPECT_EQ(snapshot.stage, FlowStage::kGlobalPlacement);
+  EXPECT_EQ(snapshot.iteration, -1);
+
+  heartbeat.publishIteration(3, 123.5, 0.42);
+  snapshot = heartbeat.read();
+  EXPECT_EQ(snapshot.iteration, 3);
+  EXPECT_EQ(snapshot.hpwl, 123.5);
+  EXPECT_EQ(snapshot.overflow, 0.42);
+  EXPECT_EQ(snapshot.sequence % 2, 0u);
+  EXPECT_GE(snapshot.timestampMicros, 1);
+  EXPECT_GE(snapshot.ageSeconds(HeartbeatState::nowMicros()), 0.0);
+}
+
+TEST(HeartbeatTest, TracksRunningBestOverFiniteHpwls) {
+  HeartbeatState heartbeat;
+  heartbeat.beginStage(FlowStage::kGlobalPlacement);
+  heartbeat.publishIteration(0, 100.0, 1.0);
+  EXPECT_EQ(heartbeat.read().bestHpwl, 100.0);
+  heartbeat.publishIteration(1, 150.0, 0.9);
+  EXPECT_EQ(heartbeat.read().bestHpwl, 100.0);
+  heartbeat.publishIteration(2, 50.0, 0.8);
+  EXPECT_EQ(heartbeat.read().bestHpwl, 50.0);
+  // Non-finite publishes never become the best (the divergence ratio
+  // must keep a sane denominator).
+  heartbeat.publishIteration(3, std::nan(""), 0.7);
+  const HeartbeatSnapshot snapshot = heartbeat.read();
+  EXPECT_TRUE(std::isnan(snapshot.hpwl));
+  EXPECT_EQ(snapshot.bestHpwl, 50.0);
+}
+
+TEST(HeartbeatTest, StageNames) {
+  EXPECT_STREQ(flowStageName(FlowStage::kIdle), "idle");
+  EXPECT_STREQ(flowStageName(FlowStage::kGlobalPlacement), "gp");
+  EXPECT_STREQ(flowStageName(FlowStage::kLegalization), "lg");
+  EXPECT_STREQ(flowStageName(FlowStage::kDetailedPlacement), "dp");
+  EXPECT_STREQ(flowStageName(FlowStage::kDone), "done");
+}
+
+// Seqlock torn-read check: the writer maintains hpwl == 2 * iteration
+// and overflow == -iteration; a concurrent reader must never observe a
+// snapshot violating the invariant.
+TEST(HeartbeatTest, ConcurrentReaderNeverSeesTornSnapshot) {
+  HeartbeatState heartbeat;
+  heartbeat.beginStage(FlowStage::kGlobalPlacement);
+  // Seed one publish synchronously: the reader loop may finish before the
+  // writer thread is ever scheduled.
+  heartbeat.publishIteration(0, 0.0, 0.0);
+  std::atomic<bool> stop{false};
+
+  std::thread writer([&heartbeat, &stop] {
+    int i = 1;
+    while (!stop.load(std::memory_order_relaxed)) {
+      heartbeat.publishIteration(i, 2.0 * i, -1.0 * i);
+      ++i;
+    }
+  });
+
+  int consistent = 0;
+  for (int r = 0; r < 20000; ++r) {
+    const HeartbeatSnapshot snapshot = heartbeat.read();
+    if (snapshot.iteration >= 0) {
+      ASSERT_EQ(snapshot.hpwl, 2.0 * snapshot.iteration);
+      ASSERT_EQ(snapshot.overflow, -1.0 * snapshot.iteration);
+      ++consistent;
+    }
+  }
+  stop.store(true);
+  writer.join();
+  EXPECT_GT(consistent, 0);
+}
+
+// --- Watchdog: stall and divergence policies. ---------------------------
 
 // A diverging job (SGD with an absurd learning rate) must be cancelled by
 // the watchdog with terminal status `diverged` — long before the job
@@ -216,30 +300,6 @@ TEST(HealthTest, UnwritableReportPathFailsJob) {
   EXPECT_NE(batch.jobs[0].error.find("report: cannot write"),
             std::string::npos)
       << batch.jobs[0].error;
-}
-
-TEST(HealthTest, UnwritableMetricsFileFailsEngineRunUpFront) {
-  auto db = healthDesign(26, 200);
-
-  EngineOptions engineOptions;
-  engineOptions.metricsFile = "/nonexistent_dir_dp/metrics.prom";
-  PlacementEngine engine(engineOptions);
-
-  PlacementJob job;
-  job.db = db.get();
-  job.name = "badmetrics";
-  job.options.gp.maxIterations = 40;
-
-  std::vector<PlacementJob> jobs;
-  jobs.push_back(std::move(job));
-  try {
-    engine.run(std::move(jobs));
-    FAIL() << "expected std::runtime_error for unwritable metrics file";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("metrics: cannot write"),
-              std::string::npos)
-        << e.what();
-  }
 }
 
 // A nonzero trace/dropped counter surfaces as a run-report warning.

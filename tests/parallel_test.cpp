@@ -174,8 +174,8 @@ TEST(ThreadPoolTest, CountersAndUtilizationAdvance) {
 }
 
 TEST(ThreadPoolTest, SerialModeCountsTasksToo) {
-  // The `parallel/tasks >= 1` report invariant must hold on a 1-core
-  // machine where every job takes the serial inline path.
+  // The `parallel/tasks >= 1` report invariant must hold on a one-thread
+  // pool, where every job takes the serial inline path.
   ScopedThreads scope(1);
   FlowContext context;
   FlowContextScope flow_scope(context);

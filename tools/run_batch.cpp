@@ -14,8 +14,6 @@
 //   --divergence-ratio=R     watchdog HPWL divergence ratio (0 = off)
 //   --divergence-samples=N   consecutive over-ratio samples for a verdict
 //   --timeout=S              per-job wall-clock budget (0 = off)
-//   --metrics-file=PATH      Prometheus exposition, atomically rewritten
-//   --metrics-period=S       seconds between metrics rewrites
 //   --log-level=LEVEL        debug|info|warn|error|silent
 //   --inject-diverge         add a job tuned to explode (expects: diverged)
 //   --inject-stall           add a job that hangs before the flow
@@ -37,10 +35,11 @@
 //
 // Injected jobs are EXPECTED to end in their watchdog verdict: the exit
 // code treats "diverge ended diverged" as success and anything else as
-// failure, so CI can assert the watchdog actually fired.
-#include <cstdio>
-#include <cstdlib>
+// failure, so CI can assert the watchdog actually fired. Every number
+// must parse in full; a bad flag or option exits 2 with one error line.
 #include <chrono>
+#include <cstdio>
+#include <exception>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -50,6 +49,7 @@
 
 #include "common/flow_context.h"
 #include "common/log.h"
+#include "common/parse.h"
 #include "gen/netlist_generator.h"
 #include "place/engine.h"
 
@@ -85,13 +85,10 @@ class CancelOnceAtIteration final : public dreamplace::TelemetrySink {
   bool fired_ = false;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace dreamplace;
 
   initLogLevelFromEnv();
-  initLogJsonFromEnv();
 
   EngineOptions engine_options;
   bool inject_diverge = false;
@@ -112,21 +109,22 @@ int main(int argc, char** argv) {
     } else if (parseFlagValue(arg, "--checkpoint-dir", value)) {
       checkpoint_dir = value;
     } else if (parseFlagValue(arg, "--checkpoint-every", value)) {
-      checkpoint_every = std::atoi(value.c_str());
+      checkpoint_every = parseNumber<int>(value, "--checkpoint-every");
     } else if (parseFlagValue(arg, "--max-attempts", value)) {
-      engine_options.maxJobAttempts = std::atoi(value.c_str());
+      engine_options.maxJobAttempts =
+          parseNumber<int>(value, "--max-attempts");
     } else if (parseFlagValue(arg, "--stall-seconds", value)) {
-      engine_options.stallSeconds = std::atof(value.c_str());
+      engine_options.stallSeconds =
+          parseNumber<double>(value, "--stall-seconds");
     } else if (parseFlagValue(arg, "--divergence-ratio", value)) {
-      engine_options.divergenceHpwlRatio = std::atof(value.c_str());
+      engine_options.divergenceHpwlRatio =
+          parseNumber<double>(value, "--divergence-ratio");
     } else if (parseFlagValue(arg, "--divergence-samples", value)) {
-      engine_options.divergenceSamples = std::atoi(value.c_str());
+      engine_options.divergenceSamples =
+          parseNumber<int>(value, "--divergence-samples");
     } else if (parseFlagValue(arg, "--timeout", value)) {
-      engine_options.jobTimeoutSeconds = std::atof(value.c_str());
-    } else if (parseFlagValue(arg, "--metrics-file", value)) {
-      engine_options.metricsFile = value;
-    } else if (parseFlagValue(arg, "--metrics-period", value)) {
-      engine_options.metricsPeriodSeconds = std::atof(value.c_str());
+      engine_options.jobTimeoutSeconds =
+          parseNumber<double>(value, "--timeout");
     } else if (parseFlagValue(arg, "--log-level", value)) {
       LogLevel level = LogLevel::kInfo;
       if (!parseLogLevel(value, level)) {
@@ -152,13 +150,17 @@ int main(int argc, char** argv) {
   }
   const std::string out_path = positional[0];
   const int num_jobs =
-      positional.size() > 1 ? std::atoi(positional[1].c_str()) : 3;
+      positional.size() > 1 ? parseNumber<int>(positional[1], "jobs") : 3;
   const int concurrent =
-      positional.size() > 2 ? std::atoi(positional[2].c_str()) : 3;
+      positional.size() > 2
+          ? parseNumber<int>(positional[2], "maxConcurrentJobs")
+          : 3;
   if (num_jobs < 1 || concurrent < 1) {
     std::fprintf(stderr, "error: jobs and maxConcurrentJobs must be >= 1\n");
     return 2;
   }
+  engine_options.maxConcurrentJobs = concurrent;
+  engine_options.validate();  // before any design is generated
   if (inject_stall && engine_options.stallSeconds <= 0.0) {
     std::fprintf(stderr, "error: --inject-stall requires --stall-seconds\n");
     return 2;
@@ -278,7 +280,6 @@ int main(int argc, char** argv) {
     expected[cfg.designName] = "stalled";
   }
 
-  engine_options.maxConcurrentJobs = concurrent;
   PlacementEngine engine(engine_options);
   const BatchReport batch = engine.run(std::move(jobs));
 
@@ -321,4 +322,14 @@ int main(int argc, char** argv) {
               batch.stalled, batch.wallSeconds, batch.aggregateSeconds,
               out_path.c_str());
   return ok ? 0 : 1;
+}
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }
