@@ -29,6 +29,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -36,6 +37,7 @@
 #include "common/flow_context.h"
 #include "common/log.h"
 #include "common/parallel.h"
+#include "common/parse.h"
 #include "common/trace.h"
 #include "gen/suites.h"
 #include "gp/global_placer.h"
@@ -50,12 +52,12 @@ namespace dreamplace::bench {
 //   --trace=<file>            Chrome trace JSON (chrome://tracing)
 //   --telemetry-jsonl=<file>  per-iteration GP records, one JSON per line
 //   --report=<file>           end-of-flow run report JSON (place/report.h)
-//   --report-text=<file>      human-readable rendering of the run report
 //   --threads=N               parallel-runtime worker threads (0 = auto)
 //   --log-level=LEVEL         debug|info|warn|error|silent
-// Environment fallbacks: DREAMPLACE_TRACE, DREAMPLACE_TELEMETRY_JSONL,
-// DREAMPLACE_REPORT, DREAMPLACE_REPORT_TEXT,
-// DREAMPLACE_THREADS, DREAMPLACE_LOG_LEVEL.
+// Environment: DREAMPLACE_THREADS, DREAMPLACE_LOG_LEVEL,
+// DREAMPLACE_BENCH_SCALE (and DREAMPLACE_BENCH_JSON, see benchJsonPath).
+// A malformed number (flag or variable) exits with status 2 and one
+// `error:` line naming it.
 // Any other flag except --json=<file> and --benchmark_* exits with status
 // 2 and names the flag.
 // ---------------------------------------------------------------------------
@@ -67,7 +69,6 @@ struct BenchFlags {
   std::string traceFile;
   std::string jsonlFile;
   std::string reportFile;
-  std::string reportTextFile;
   int threads = 0;  ///< 0 = auto (DREAMPLACE_THREADS / hw concurrency).
 
   /// Flow options with the parsed flags applied. Telemetry *file* exports
@@ -83,42 +84,47 @@ struct BenchFlags {
 inline BenchFlags parseBenchFlags(int argc, char** argv) {
   BenchFlags args;
   initLogLevelFromEnv();
-  const auto fromEnv = [](const char* name) {
-    const char* v = std::getenv(name);
-    return v ? std::string(v) : std::string();
-  };
-  args.traceFile = fromEnv("DREAMPLACE_TRACE");
-  args.jsonlFile = fromEnv("DREAMPLACE_TELEMETRY_JSONL");
-  args.reportFile = fromEnv("DREAMPLACE_REPORT");
-  args.reportTextFile = fromEnv("DREAMPLACE_REPORT_TEXT");
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const auto match = [arg](const char* prefix) -> const char* {
-      const std::size_t len = std::strlen(prefix);
-      return std::strncmp(arg, prefix, len) == 0 ? arg + len : nullptr;
-    };
-    if (const char* v = match("--trace=")) {
-      args.traceFile = v;
-    } else if (const char* v = match("--telemetry-jsonl=")) {
-      args.jsonlFile = v;
-    } else if (const char* v = match("--report-text=")) {
-      args.reportTextFile = v;
-    } else if (const char* v = match("--report=")) {
-      args.reportFile = v;
-    } else if (const char* v = match("--threads=")) {
-      args.threads = std::atoi(v);
-    } else if (const char* v = match("--log-level=")) {
-      LogLevel level = LogLevel::kInfo;
-      if (!parseLogLevel(v, level)) {
-        std::fprintf(stderr, "error: unknown log level '%s'\n", v);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const char* arg = argv[i];
+      const auto match = [arg](const char* prefix) -> const char* {
+        const std::size_t len = std::strlen(prefix);
+        return std::strncmp(arg, prefix, len) == 0 ? arg + len : nullptr;
+      };
+      if (const char* v = match("--trace=")) {
+        args.traceFile = v;
+      } else if (const char* v = match("--telemetry-jsonl=")) {
+        args.jsonlFile = v;
+      } else if (const char* v = match("--report=")) {
+        args.reportFile = v;
+      } else if (const char* v = match("--threads=")) {
+        args.threads = parseNumber<int>(v, "--threads");
+        if (args.threads < 0) {
+          throw std::invalid_argument("--threads: '" + std::string(v) +
+                                      "' must be >= 0");
+        }
+      } else if (const char* v = match("--log-level=")) {
+        LogLevel level = LogLevel::kInfo;
+        if (!parseLogLevel(v, level)) {
+          std::fprintf(stderr, "error: unknown log level '%s'\n", v);
+          std::exit(2);
+        }
+        setLogLevel(level);
+      } else if (!match("--json=") && !match("--benchmark_")) {
+        // --json= is read by benchJsonPath, --benchmark_* by
+        // google-benchmark.
+        std::fprintf(stderr, "error: unknown flag '%s'\n", arg);
         std::exit(2);
       }
-      setLogLevel(level);
-    } else if (!match("--json=") && !match("--benchmark_")) {
-      // --json= is read by benchJsonPath, --benchmark_* by google-benchmark.
-      std::fprintf(stderr, "error: unknown flag '%s'\n", arg);
-      std::exit(2);
     }
+    // Without --threads the pool resolves DREAMPLACE_THREADS: check it
+    // now, not inside the first parallel kernel.
+    if (args.threads == 0) {
+      ThreadPool::instance().threads();
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
   }
   return args;
 }
@@ -131,9 +137,7 @@ inline BenchFlags parseBenchFlags(int argc, char** argv) {
 class TelemetrySession {
  public:
   explicit TelemetrySession(const BenchFlags& args)
-      : trace_file_(args.traceFile),
-        report_file_(args.reportFile),
-        report_text_file_(args.reportTextFile) {
+      : trace_file_(args.traceFile), report_file_(args.reportFile) {
     // Fail fast with a clean message on an unwritable export path: the
     // user asked for a file, and discovering it is missing only after a
     // long sweep would waste the whole run.
@@ -185,14 +189,12 @@ class TelemetrySession {
     options.telemetry = sink();
     options.telemetryLabel = label;
     options.reportJson = report_file_;
-    options.reportText = report_text_file_;
   }
 
  private:
   std::unique_ptr<JsonlTelemetrySink> jsonl_;
   std::string trace_file_;
   std::string report_file_;
-  std::string report_text_file_;
 };
 
 /// Applies a --threads=N flag for bench binaries that do not build a
@@ -314,15 +316,24 @@ class BenchJsonWriter {
   std::vector<std::pair<std::string, CounterRegistry::Value>> counters_;
 };
 
-/// Suite scale factor; override with DREAMPLACE_BENCH_SCALE.
+/// Suite scale factor; override with DREAMPLACE_BENCH_SCALE (a number
+/// > 0; anything else exits with status 2 naming the variable).
 inline double benchScale(double fallback = 0.01) {
-  if (const char* env = std::getenv("DREAMPLACE_BENCH_SCALE")) {
-    const double v = std::atof(env);
-    if (v > 0) {
-      return v;
-    }
+  const char* env = std::getenv("DREAMPLACE_BENCH_SCALE");
+  if (env == nullptr) {
+    return fallback;
   }
-  return fallback;
+  try {
+    const double v = parseNumber<double>(env, "DREAMPLACE_BENCH_SCALE");
+    if (v <= 0) {
+      throw std::invalid_argument("DREAMPLACE_BENCH_SCALE: '" +
+                                  std::string(env) + "' must be > 0");
+    }
+    return v;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
 }
 
 inline GlobalPlacerOptions replaceModeGp() {

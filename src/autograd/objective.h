@@ -9,8 +9,8 @@
 // optimizers.h consume it without knowing anything about placement.
 #pragma once
 
+#include <cstddef>
 #include <span>
-#include <vector>
 
 namespace dreamplace {
 
@@ -27,55 +27,6 @@ class ObjectiveFunction {
   /// `grad` (same length as `params`). Returns the objective value.
   /// Implementations must overwrite, not accumulate into, `grad`.
   virtual double evaluate(std::span<const T> params, std::span<T> grad) = 0;
-};
-
-/// Weighted sum of objective terms: obj = sum_i weight_i * term_i.
-/// This is exactly "loss + lambda * regularizer"; the global placer uses
-/// it to combine wirelength and density with the density weight schedule.
-template <typename T>
-class CompositeObjective final : public ObjectiveFunction<T> {
- public:
-  /// Terms are non-owning; callers keep them alive. All terms must share
-  /// the same parameter size.
-  void addTerm(ObjectiveFunction<T>* term, double weight) {
-    terms_.push_back(term);
-    weights_.push_back(weight);
-  }
-
-  void setWeight(std::size_t i, double weight) { weights_[i] = weight; }
-  double weight(std::size_t i) const { return weights_[i]; }
-  std::size_t numTerms() const { return terms_.size(); }
-
-  /// Objective value of term `i` at the last evaluate() call.
-  double lastTermValue(std::size_t i) const { return last_values_[i]; }
-
-  std::size_t size() const override {
-    return terms_.empty() ? 0 : terms_.front()->size();
-  }
-
-  double evaluate(std::span<const T> params, std::span<T> grad) override {
-    last_values_.assign(terms_.size(), 0.0);
-    std::fill(grad.begin(), grad.end(), T(0));
-    scratch_.resize(grad.size());
-    double total = 0.0;
-    for (std::size_t i = 0; i < terms_.size(); ++i) {
-      const double value =
-          terms_[i]->evaluate(params, std::span<T>(scratch_));
-      last_values_[i] = value;
-      total += weights_[i] * value;
-      const T w = static_cast<T>(weights_[i]);
-      for (std::size_t k = 0; k < grad.size(); ++k) {
-        grad[k] += w * scratch_[k];
-      }
-    }
-    return total;
-  }
-
- private:
-  std::vector<ObjectiveFunction<T>*> terms_;
-  std::vector<double> weights_;
-  std::vector<double> last_values_;
-  std::vector<T> scratch_;
 };
 
 }  // namespace dreamplace

@@ -45,10 +45,6 @@ void FlowContext::setDeadline(std::chrono::steady_clock::time_point deadline) {
   has_deadline_.store(true, std::memory_order_release);
 }
 
-void FlowContext::clearDeadline() {
-  has_deadline_.store(false, std::memory_order_release);
-}
-
 void FlowContext::throwIfInterrupted() const {
   if (cancel_.load(std::memory_order_relaxed)) {
     throw FlowCancelledError("flow cancelled by request");

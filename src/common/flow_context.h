@@ -16,10 +16,10 @@
 //     a registry: there are no per-registry singletons. Tests install a
 //     test-local context; work outside any flow (Bookshelf reads before
 //     placeDesign, a bench's session-wide trace) lands on the default.
-//   * Instrumentation primitives (Counter, ScopedTimer, TraceScope,
-//     TrackedBytes) resolve the current context per call instead of
-//     caching a registry reference, so the same static Counter in a hot
-//     kernel charges whichever flow is running on the calling thread.
+//   * Instrumentation primitives (Counter, ScopedTimer, TrackedBytes)
+//     resolve the current context per call instead of caching a registry
+//     reference, so the same static Counter in a hot kernel charges
+//     whichever flow is running on the calling thread.
 //   * ThreadPool workers inherit the submitting flow's context for the
 //     duration of each parallel job, so kernels instrumented inside
 //     worker threads attribute to the right flow.
@@ -109,11 +109,7 @@ class FlowContext {
 
   // --- Cooperative interruption -------------------------------------------
   void setDeadline(std::chrono::steady_clock::time_point deadline);
-  void clearDeadline();
   void requestCancel() { cancel_.store(true, std::memory_order_relaxed); }
-  bool cancelRequested() const {
-    return cancel_.load(std::memory_order_relaxed);
-  }
   /// Throws FlowCancelledError / FlowTimeoutError when the flow should
   /// stop. Called at GP-iteration and flow-stage boundaries.
   void throwIfInterrupted() const;

@@ -1,6 +1,5 @@
 #include "common/heartbeat.h"
 
-#include <chrono>
 #include <cmath>
 
 namespace dreamplace {
@@ -14,12 +13,6 @@ const char* flowStageName(FlowStage stage) {
     case FlowStage::kDone: return "done";
   }
   return "unknown";
-}
-
-std::int64_t HeartbeatState::nowMicros() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 void HeartbeatState::publish(FlowStage stage, int iteration, double hpwl,
@@ -40,7 +33,6 @@ void HeartbeatState::publish(FlowStage stage, int iteration, double hpwl,
   hpwl_.store(hpwl, std::memory_order_relaxed);
   best_hpwl_.store(best, std::memory_order_relaxed);
   overflow_.store(overflow, std::memory_order_relaxed);
-  timestamp_us_.store(nowMicros(), std::memory_order_relaxed);
   seq_.store(seq + 2, std::memory_order_release);  // even: stable
 }
 
@@ -68,7 +60,6 @@ HeartbeatSnapshot HeartbeatState::read() const {
     out.hpwl = hpwl_.load(std::memory_order_relaxed);
     out.bestHpwl = best_hpwl_.load(std::memory_order_relaxed);
     out.overflow = overflow_.load(std::memory_order_relaxed);
-    out.timestampMicros = timestamp_us_.load(std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_acquire);
     if (seq_.load(std::memory_order_relaxed) == before) {
       return out;

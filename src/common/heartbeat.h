@@ -49,12 +49,6 @@ struct HeartbeatSnapshot {
   double hpwl = 0.0;      ///< HPWL at that iteration.
   double bestHpwl = 0.0;  ///< Running-best finite HPWL over the flow.
   double overflow = 0.0;
-  std::int64_t timestampMicros = 0;  ///< Monotonic publish time.
-
-  /// Seconds between the publish and `nowMicros`.
-  double ageSeconds(std::int64_t nowMicros) const {
-    return static_cast<double>(nowMicros - timestampMicros) * 1e-6;
-  }
 };
 
 class HeartbeatState {
@@ -71,10 +65,6 @@ class HeartbeatState {
   /// Lock-free consistent snapshot; retries while a publish is in flight.
   HeartbeatSnapshot read() const;
 
-  /// Monotonic clock in microseconds (steady_clock), the timestamp base
-  /// of snapshots.
-  static std::int64_t nowMicros();
-
  private:
   void publish(FlowStage stage, int iteration, double hpwl, double overflow);
 
@@ -84,7 +74,6 @@ class HeartbeatState {
   std::atomic<double> hpwl_{0.0};
   std::atomic<double> best_hpwl_{0.0};
   std::atomic<double> overflow_{0.0};
-  std::atomic<std::int64_t> timestamp_us_{0};
 };
 
 }  // namespace dreamplace

@@ -5,17 +5,24 @@
 
 #include "common/counters.h"
 #include "common/flow_context.h"
+#include "common/parse.h"
 #include "common/trace.h"
 
 namespace dreamplace {
 namespace {
 
 /// Thread count resolution order: explicit request > DREAMPLACE_THREADS
-/// environment variable > hardware concurrency > 1.
+/// environment variable > hardware concurrency > 1. A set variable must
+/// be a whole number >= 0 (0 = auto); anything else throws
+/// std::invalid_argument naming it.
 int resolveThreadCount(int requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("DREAMPLACE_THREADS")) {
-    const int value = std::atoi(env);
+    const int value = parseNumber<int>(env, "DREAMPLACE_THREADS");
+    if (value < 0) {
+      throw std::invalid_argument("DREAMPLACE_THREADS: '" + std::string(env) +
+                                  "' must be >= 0");
+    }
     if (value > 0) return value;
   }
   const unsigned hw = std::thread::hardware_concurrency();

@@ -66,10 +66,13 @@ class ThreadPool {
 
   /// Requests a pool size: n >= 1 forces n, 0 re-resolves from
   /// DREAMPLACE_THREADS / hardware concurrency. If the resolved size
-  /// changes, running workers are joined and respawn lazily.
+  /// changes, running workers are joined and respawn lazily. Resolving
+  /// from a DREAMPLACE_THREADS that is not a whole number >= 0 throws
+  /// std::invalid_argument naming the variable and its value.
   void setThreads(int threads);
 
-  /// Resolved pool size (>= 1). Resolves lazily on first use.
+  /// Resolved pool size (>= 1). Resolves lazily on first use (and throws
+  /// like setThreads on a malformed DREAMPLACE_THREADS).
   int threads();
 
   /// Runs `numTasks` tasks, calling fn(taskIndex, workerIndex) for each

@@ -1,7 +1,7 @@
 #include "common/timer.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <vector>
 
 #include "common/trace.h"
 
@@ -30,8 +30,7 @@ ScopedTimer::~ScopedTimer() {
   // scope (if any) so the parent's self time excludes it.
   const double child_seconds = tlScopeStack.back().childSeconds;
   tlScopeStack.pop_back();
-  const bool root = tlScopeStack.empty();
-  if (!root) {
+  if (!tlScopeStack.empty()) {
     tlScopeStack.back().childSeconds += seconds;
   }
   // Clock jitter can make the children sum slightly exceed the parent's
@@ -39,45 +38,26 @@ ScopedTimer::~ScopedTimer() {
   const double self = std::max(0.0, seconds - child_seconds);
   // Resolve per call: the same scope key charges whichever flow context
   // is current on this thread (common/flow_context.h).
-  currentTimingRegistry().addScope(key_, seconds, self, root);
+  currentTimingRegistry().addScope(key_, seconds, self);
   TraceRecorder& trace = currentTraceRecorder();
   if (trace.enabled()) {
     trace.completeEvent(key_, seconds);
   }
 }
 
-void TimingRegistry::add(const std::string& key, double seconds) {
-  addScope(key, seconds, seconds, /*root=*/true);
-}
-
 void TimingRegistry::addScope(const std::string& key, double seconds,
-                              double selfSeconds, bool root) {
+                              double selfSeconds) {
   std::lock_guard<std::mutex> lock(mutex_);
   TimingStat& stat = totals_[key];
   stat.count += 1;
   stat.seconds += seconds;
   stat.selfSeconds += selfSeconds;
-  if (root) {
-    stat.rootSeconds += seconds;
-  }
 }
 
 double TimingRegistry::total(const std::string& key) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = totals_.find(key);
   return it == totals_.end() ? 0.0 : it->second.seconds;
-}
-
-double TimingRegistry::selfTotal(const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = totals_.find(key);
-  return it == totals_.end() ? 0.0 : it->second.selfSeconds;
-}
-
-std::int64_t TimingRegistry::count(const std::string& key) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = totals_.find(key);
-  return it == totals_.end() ? 0 : it->second.count;
 }
 
 double TimingRegistry::totalPrefix(const std::string& prefix) const {
@@ -93,27 +73,6 @@ double TimingRegistry::totalPrefix(const std::string& prefix) const {
   return sum;
 }
 
-double TimingRegistry::selfTotalPrefix(const std::string& prefix) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  double sum = 0.0;
-  for (auto it = totals_.lower_bound(prefix); it != totals_.end(); ++it) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) {
-      break;
-    }
-    sum += it->second.selfSeconds;
-  }
-  return sum;
-}
-
-std::map<std::string, double> TimingRegistry::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::map<std::string, double> out;
-  for (const auto& [key, stat] : totals_) {
-    out.emplace(key, stat.seconds);
-  }
-  return out;
-}
-
 std::map<std::string, TimingStat> TimingRegistry::statsSnapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return totals_;
@@ -122,31 +81,6 @@ std::map<std::string, TimingStat> TimingRegistry::statsSnapshot() const {
 void TimingRegistry::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   totals_.clear();
-}
-
-std::string TimingRegistry::report() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // The denominator is the wall time covered by root scopes: every
-  // nested scope's seconds are already inside some root's inclusive
-  // time, so summing root time counts each observed second exactly once.
-  double grand = 0.0;
-  for (const auto& [key, stat] : totals_) {
-    grand += stat.rootSeconds;
-  }
-  std::string out;
-  char line[320];
-  std::snprintf(line, sizeof(line), "%-40s %8s %10s %10s %7s\n", "key",
-                "count", "incl(s)", "self(s)", "incl%");
-  out += line;
-  for (const auto& [key, stat] : totals_) {
-    const double pct = grand > 0.0 ? 100.0 * stat.seconds / grand : 0.0;
-    std::snprintf(line, sizeof(line),
-                  "%-40s %8lld %10.3f %10.3f %6.1f%%\n", key.c_str(),
-                  static_cast<long long>(stat.count), stat.seconds,
-                  stat.selfSeconds, pct);
-    out += line;
-  }
-  return out;
 }
 
 }  // namespace dreamplace

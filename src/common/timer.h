@@ -16,9 +16,7 @@
 // each other as parents. Invariants (pinned by tests/profiler_test.cpp):
 //   * self <= inclusive for every key,
 //   * the self times of a root scope's subtree sum to the root's
-//     inclusive time,
-//   * the report() denominator is the total root-scope time, so
-//     percentages of nested scopes never double-count.
+//     inclusive time.
 #pragma once
 
 #include <chrono>
@@ -26,7 +24,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace dreamplace {
 
@@ -49,22 +46,9 @@ class Timer {
 
 /// Accumulated statistics of one timing key.
 struct TimingStat {
-  std::int64_t count = 0;   ///< Number of completed scopes / add() calls.
+  std::int64_t count = 0;   ///< Number of completed scopes.
   double seconds = 0.0;     ///< Inclusive wall seconds.
   double selfSeconds = 0.0; ///< Inclusive minus nested-scope seconds.
-  /// Inclusive seconds accumulated by scopes that were roots of their
-  /// thread's scope stack (nothing above them). Summed across keys this
-  /// is the wall time the profiler observed exactly once — the natural
-  /// percentage denominator.
-  double rootSeconds = 0.0;
-
-  TimingStat& operator+=(const TimingStat& o) {
-    count += o.count;
-    seconds += o.seconds;
-    selfSeconds += o.selfSeconds;
-    rootSeconds += o.rootSeconds;
-    return *this;
-  }
 };
 
 /// Accumulator of named timing scopes (one per FlowContext).
@@ -78,38 +62,18 @@ class TimingRegistry {
   TimingRegistry(const TimingRegistry&) = delete;
   TimingRegistry& operator=(const TimingRegistry&) = delete;
 
-  /// Manual accumulation: treated as a leaf root scope (self == inclusive,
-  /// one call). Source-compatible with pre-profiler call sites.
-  void add(const std::string& key, double seconds);
-  /// Scope accumulation with explicit self-time attribution (ScopedTimer's
-  /// entry point). `root` marks scopes with no enclosing scope on their
-  /// thread.
-  void addScope(const std::string& key, double seconds, double selfSeconds,
-                bool root);
+  /// Records one completed scope with its self-time attribution
+  /// (ScopedTimer's entry point).
+  void addScope(const std::string& key, double seconds, double selfSeconds);
 
   /// Inclusive seconds of `key` (0 when absent).
   double total(const std::string& key) const;
-  /// Self seconds of `key` (0 when absent).
-  double selfTotal(const std::string& key) const;
-  /// Completed-scope count of `key` (0 when absent).
-  std::int64_t count(const std::string& key) const;
   /// Sum of inclusive seconds over all keys that start with `prefix`.
   double totalPrefix(const std::string& prefix) const;
-  /// Sum of self seconds over all keys that start with `prefix`. Unlike
-  /// totalPrefix this never double-counts nested scopes, so it is the
-  /// right aggregate for subtree shares.
-  double selfTotalPrefix(const std::string& prefix) const;
 
-  /// Inclusive seconds per key (legacy shape).
-  std::map<std::string, double> snapshot() const;
   /// Full statistics per key.
   std::map<std::string, TimingStat> statsSnapshot() const;
   void clear();
-
-  /// Pretty-print all scopes as "key  count  inclusive  self  percent".
-  /// Percentages are inclusive seconds over the total root-scope time, so
-  /// nested scopes show their true share instead of inflating the total.
-  std::string report() const;
 
  private:
   mutable std::mutex mutex_;

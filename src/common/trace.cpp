@@ -86,25 +86,6 @@ void TraceRecorder::completeEvent(std::string_view name, double seconds) {
   events_.push_back(std::move(ev));
 }
 
-void TraceRecorder::instantEvent(std::string_view name,
-                                 std::string_view argsJson) {
-  if (!enabled()) {
-    return;
-  }
-  const auto now = std::chrono::steady_clock::now();
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!reserveSlot()) {
-    return;
-  }
-  TraceEvent ev;
-  ev.name = std::string(name);
-  ev.phase = 'i';
-  ev.tsUs = std::chrono::duration<double, std::micro>(now - epoch_).count();
-  ev.tid = threadId();
-  ev.args = std::string(argsJson);
-  events_.push_back(std::move(ev));
-}
-
 void TraceRecorder::counterEvent(std::string_view name, double value) {
   if (!enabled()) {
     return;
@@ -177,9 +158,6 @@ std::string TraceRecorder::toJson() const {
     if (ev.phase == 'X') {
       std::snprintf(buf, sizeof(buf), ",\"dur\":%.3f", ev.durUs);
       out += buf;
-    }
-    if (ev.phase == 'i') {
-      out += ",\"s\":\"t\"";
     }
     if (!ev.args.empty()) {
       out += ",\"args\":" + ev.args;

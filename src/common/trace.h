@@ -2,15 +2,13 @@
 //
 // The placer is a training loop; understanding where iterations spend
 // their time needs a timeline, not just stage totals. TraceRecorder
-// collects duration ("X"), instant ("i"), and counter ("C") events and
+// collects duration ("X") and counter ("C") events and
 // serializes them in the Trace Event Format that chrome://tracing,
 // Perfetto, and speedscope all load. Recording is off by default: every
 // entry point first checks an atomic flag, so instrumented code costs a
 // relaxed load when tracing is disabled. ScopedTimer emits trace events
 // for its timing scope automatically, so the existing "gp/op/..."
-// hierarchy shows up on the timeline without extra instrumentation;
-// TraceScope records trace-only scopes that should not pollute the
-// timing registry.
+// hierarchy shows up on the timeline without extra instrumentation.
 #pragma once
 
 #include <atomic>
@@ -27,7 +25,7 @@ namespace dreamplace {
 /// One trace event; `args` holds pre-rendered JSON ("" => no args).
 struct TraceEvent {
   std::string name;
-  char phase = 'X';     ///< 'X' complete, 'i' instant, 'C' counter.
+  char phase = 'X';     ///< 'X' complete, 'C' counter.
   double tsUs = 0.0;    ///< Microseconds since recorder epoch.
   double durUs = 0.0;   ///< Complete events only.
   int tid = 0;
@@ -73,8 +71,6 @@ class TraceRecorder {
 
   /// Records a duration event that ends now and lasted `seconds`.
   void completeEvent(std::string_view name, double seconds);
-  /// Records a thread-scoped instant event, optionally with JSON args.
-  void instantEvent(std::string_view name, std::string_view argsJson = {});
   /// Records a counter sample (rendered as a stacked chart in the UI).
   void counterEvent(std::string_view name, double value);
 
@@ -100,38 +96,6 @@ class TraceRecorder {
 
 /// The current flow's trace recorder (common/flow_context.h).
 TraceRecorder& currentTraceRecorder();
-
-/// RAII trace-only scope: a complete event spanning the scope lifetime.
-/// Near-zero cost when recording is disabled (one relaxed load in the
-/// constructor, one branch in the destructor). Resolves the current
-/// flow's recorder per call.
-class TraceScope {
- public:
-  explicit TraceScope(std::string_view name) {
-    if (currentTraceRecorder().enabled()) {
-      name_ = name;
-      start_ = std::chrono::steady_clock::now();
-      active_ = true;
-    }
-  }
-  ~TraceScope() {
-    if (active_) {
-      const double seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start_)
-              .count();
-      currentTraceRecorder().completeEvent(name_, seconds);
-    }
-  }
-
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
-
- private:
-  std::string name_;
-  std::chrono::steady_clock::time_point start_;
-  bool active_ = false;
-};
 
 /// Escapes a string for inclusion inside a JSON string literal.
 std::string jsonEscape(std::string_view s);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -19,6 +18,9 @@ namespace dreamplace {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// Largest magnitude a Bookshelf number may have (see bookshelf_reader.h).
+constexpr double kMaxMagnitude = double(Index(1) << 30);
 
 [[noreturn]] void fail(const std::string& file, const std::string& what) {
   throw std::runtime_error("bookshelf: " + file + ": " + what);
@@ -61,12 +63,15 @@ class LineReader {
   const std::string& path() const { return path_; }
 
   /// The finite number `token` spells in full, as field `field` of the
-  /// current line; throws naming the file, the line and the field
-  /// otherwise.
+  /// current line, at most kMaxMagnitude in magnitude; throws naming the
+  /// file, the line and the field otherwise.
   double number(const std::string& token, const char* field) const {
     double value = 0.0;
     if (!parseFinite(token, value)) {
       fail(field, "'" + token + "' is not a finite number");
+    }
+    if (std::abs(value) > kMaxMagnitude) {
+      fail(field, "'" + token + "' exceeds the limit of 2^30 in magnitude");
     }
     return value;
   }
@@ -83,8 +88,7 @@ class LineReader {
   /// Like number(), additionally requiring a non-negative integer.
   double count(const std::string& token, const char* field) const {
     const double value = number(token, field);
-    if (value < 0.0 || value != std::floor(value) ||
-        value > std::numeric_limits<Index>::max()) {
+    if (value < 0.0 || value != std::floor(value)) {
       fail(field, "must be a non-negative integer, got " + token);
     }
     return value;
@@ -211,7 +215,8 @@ void parseNodes(const std::string& path, Database& db,
       continue;
     }
     if (tokens.size() < 3) {
-      fail(path, "bad node line: " + line);
+      reader.fail("node", "bad node line '" + line +
+                              "', expected '<name> <width> <height>'");
     }
     const bool terminal =
         tokens.size() >= 4 &&
@@ -258,7 +263,8 @@ void parseNets(const std::string& path, Database& db,
     if (tokens[0] == "NetDegree") {
       // "NetDegree : d [name]"
       if (tokens.size() < 3 || tokens[1] != ":") {
-        fail(path, "bad NetDegree line: " + line);
+        reader.fail("NetDegree", "bad NetDegree line '" + line +
+                                     "', expected 'NetDegree : <degree>'");
       }
       closeNet();
       degree = static_cast<Index>(reader.count(tokens[2], "NetDegree"));
@@ -275,11 +281,11 @@ void parseNets(const std::string& path, Database& db,
     }
     // Pin line: "cellName I/O/B : offx offy" (offsets optional).
     if (current_net == kInvalidIndex || remaining <= 0) {
-      fail(path, "pin line outside a net: " + line);
+      reader.fail("pin", "pin line outside a net: '" + line + "'");
     }
     auto it = byName.find(tokens[0]);
     if (it == byName.end()) {
-      fail(path, "unknown cell in net: " + tokens[0]);
+      reader.fail("cell name", "unknown cell in net: " + tokens[0]);
     }
     double offx = 0.0;
     double offy = 0.0;
@@ -326,7 +332,7 @@ void parsePl(const std::string& path, Database& db,
     }
     auto it = byName.find(tokens[0]);
     if (it == byName.end()) {
-      fail(path, "unknown cell in .pl: " + tokens[0]);
+      reader.fail("cell name", "unknown cell in .pl: " + tokens[0]);
     }
     db.setCellPosition(it->second, reader.number(tokens[1], "x"),
                        reader.number(tokens[2], "y"));
@@ -339,6 +345,7 @@ void parseScl(const std::string& path, Database& db) {
   Row row;
   bool in_row = false;
   double num_sites = 0;
+  int num_sites_line = 0;
   double min_x = 0;
   double min_y = 0;
   double max_x = 0;
@@ -361,6 +368,11 @@ void parseScl(const std::string& path, Database& db) {
     }
     if (tokens[0] == "End") {
       row.xh = row.xl + num_sites * row.siteWidth;
+      if (std::abs(row.xh) > kMaxMagnitude) {
+        reader.failAt(num_sites_line, "NumSites",
+                      "row ends at x = " + std::to_string(row.xh) +
+                          ", beyond the limit of 2^30");
+      }
       db.addRow(row);
       if (rows++ == 0) {
         min_x = row.xl;
@@ -389,10 +401,12 @@ void parseScl(const std::string& path, Database& db) {
       for (size_t i = 3; i + 2 < tokens.size(); ++i) {
         if (tokens[i] == "NumSites" && tokens[i + 1] == ":") {
           num_sites = reader.positive(tokens[i + 2], "NumSites");
+          num_sites_line = reader.line();
         }
       }
     } else if (tokens[0] == "NumSites" && tokens.size() >= 3) {
       num_sites = reader.positive(tokens[2], "NumSites");
+      num_sites_line = reader.line();
     }
   }
   num_rows.check(reader, rows);
@@ -415,7 +429,7 @@ void readPlacement(Database& db, const std::string& plPath) {
     }
     const Index cell = db.findCell(tokens[0]);
     if (cell == kInvalidIndex) {
-      fail(plPath, "unknown cell in .pl: " + tokens[0]);
+      reader.fail("cell name", "unknown cell in .pl: " + tokens[0]);
     }
     db.setCellPosition(cell, reader.number(tokens[1], "x"),
                        reader.number(tokens[2], "y"));

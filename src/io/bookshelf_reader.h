@@ -13,12 +13,21 @@
 namespace dreamplace {
 
 /// Parses the .aux file at `auxPath` and loads the referenced files.
-/// Throws std::runtime_error on malformed input or missing files.
+/// Throws std::runtime_error on malformed input or missing files, naming
+/// the file and, for malformed content, the line and the field.
+///
+/// Every number (coordinate, cell size, pin offset, row origin, site
+/// width, count) must be at most 2^30 in magnitude, and so must each
+/// row's end (SubrowOrigin + NumSites * Sitewidth). Grids, rows and sites
+/// are Index-addressed (int32), and the bound keeps the sum or difference
+/// of any two in-range values (a cell's far edge, the die's extent, a net's
+/// span) inside Index's 2^31 range.
 std::unique_ptr<Database> readBookshelf(const std::string& auxPath);
 
 /// Loads a .pl placement result onto an existing database (e.g. to
-/// evaluate a solution produced by another tool). Unknown cell names
-/// throw; cells absent from the file keep their positions.
+/// evaluate a solution produced by another tool). Unknown cell names and
+/// bad numbers throw as in readBookshelf; cells absent from the file keep
+/// their positions.
 void readPlacement(Database& db, const std::string& plPath);
 
 }  // namespace dreamplace

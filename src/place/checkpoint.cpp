@@ -1,5 +1,6 @@
 #include "place/checkpoint.h"
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -96,6 +97,12 @@ CheckpointData decodeCheckpoint(const std::string& bytes) {
   data.cellY = r.f64Vec<double>();
   if (data.cellX.size() != data.cellY.size()) {
     throw std::runtime_error("checkpoint: mismatched position vectors");
+  }
+  for (std::size_t i = 0; i < data.cellX.size(); ++i) {
+    if (!std::isfinite(data.cellX[i]) || !std::isfinite(data.cellY[i])) {
+      throw std::runtime_error("checkpoint: non-finite position for cell " +
+                               std::to_string(i));
+    }
   }
   const std::uint64_t n = r.u64();
   data.counters.reserve(static_cast<std::size_t>(n));

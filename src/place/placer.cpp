@@ -211,8 +211,7 @@ FlowResult placeDesign(Database& db, const PlacerOptions& options,
       options.precision == Precision::kFloat32
           ? runFlow<float>(db, options, gp_runs)
           : runFlow<double>(db, options, gp_runs);
-  if (reportOut != nullptr || !options.reportJson.empty() ||
-      !options.reportText.empty()) {
+  if (reportOut != nullptr || !options.reportJson.empty()) {
     RunReport report = buildRunReport(db, options, result, gp_runs, context);
     // Write the trace before the report so a failed export lands in the
     // report's warnings array.
@@ -221,8 +220,8 @@ FlowResult placeDesign(Database& db, const PlacerOptions& options,
       report.warnings.push_back(trace_error);
     }
     std::string error;
-    if (!writeRunReport(report, options.reportJson, options.reportText,
-                        &error)) {
+    if (!options.reportJson.empty() &&
+        !writeRunReport(report, options.reportJson, &error)) {
       // The caller asked for a report file; silently dropping it would
       // make the run look observable when it is not. Fail the flow.
       throw std::runtime_error(error);

@@ -79,8 +79,6 @@ struct PlacerOptions {
   /// counter deltas, and memory attribution. CI's regression gate
   /// (tools/check_report) consumes this file.
   std::string reportJson;
-  /// Human-readable text rendering of the same report.
-  std::string reportText;
   /// Per-iteration GP observer (non-owning; e.g. a JsonlTelemetrySink),
   /// passed to every GP run as GlobalPlacerOptions::telemetry.
   TelemetrySink* telemetry = nullptr;
@@ -92,7 +90,7 @@ struct PlacerOptions {
   void validate() const;
 
   /// Full configuration as one JSON object (every field, names instead of
-  /// enum ordinals). Embedded under "config.options" in RunReport so a
+  /// enum ordinals). Embedded as "config" in RunReport so a
   /// report completely identifies the run that produced it.
   std::string toJson() const;
 };

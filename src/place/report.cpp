@@ -1,10 +1,7 @@
 #include "place/report.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 
 #include "common/flow_context.h"
 #include "common/json_writer.h"
@@ -54,20 +51,6 @@ const char* initName(InitialPlacement i) {
 
 using json::Json;
 
-std::string formatBytes(std::int64_t bytes) {
-  char buf[32];
-  if (bytes >= 1 << 20) {
-    std::snprintf(buf, sizeof(buf), "%.1f MiB",
-                  static_cast<double>(bytes) / (1 << 20));
-  } else if (bytes >= 1 << 10) {
-    std::snprintf(buf, sizeof(buf), "%.1f KiB",
-                  static_cast<double>(bytes) / (1 << 10));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%" PRId64 " B", bytes);
-  }
-  return buf;
-}
-
 bool writeFile(const std::string& path, const std::string& contents) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -80,8 +63,7 @@ bool writeFile(const std::string& path, const std::string& contents) {
 
 }  // namespace
 
-// Defined here rather than placer.cpp so it shares the enum-name helpers
-// the report's config summary uses — the two renderings cannot drift.
+// Defined here, next to the run report that embeds it as "config".
 std::string PlacerOptions::toJson() const {
   Json j;
   j.openObject();
@@ -181,7 +163,6 @@ std::string PlacerOptions::toJson() const {
   j.openObject();
   j.key("trace_file"); j.value(traceFile);
   j.key("report_json"); j.value(reportJson);
-  j.key("report_text"); j.value(reportText);
   j.closeObject();
 
   j.closeObject();
@@ -201,19 +182,6 @@ RunReport buildRunReport(const Database& db, const PlacerOptions& options,
   report.numPins = db.numPins();
   report.utilization = static_cast<double>(db.utilization());
 
-  report.precision = precisionName(options.precision);
-  report.solver = solverName(options.gp.solver);
-  report.wirelengthModel = wlModelName(options.gp.wlModel);
-  report.wirelengthKernel = wlKernelName(options.gp.wlKernel);
-  report.densityKernel = densityKernelName(options.gp.densityKernel);
-  report.dctAlgorithm = dctName(options.gp.dct);
-  report.initialPlacement = initName(options.gp.init);
-  report.targetDensity = options.gp.targetDensity;
-  report.stopOverflow = options.gp.stopOverflow;
-  report.maxIterations = options.gp.maxIterations;
-  report.binsMax = options.gp.binsMax;
-  report.routability = options.routability;
-  report.detailedPlacement = options.runDetailedPlacement;
   report.optionsJson = options.toJson();
 
   report.result = result;
@@ -301,25 +269,7 @@ std::string RunReport::toJson() const {
   j.closeObject();
 
   j.key("config");
-  j.openObject();
-  j.key("precision"); j.value(precision);
-  j.key("solver"); j.value(solver);
-  j.key("wl_model"); j.value(wirelengthModel);
-  j.key("wl_kernel"); j.value(wirelengthKernel);
-  j.key("density_kernel"); j.value(densityKernel);
-  j.key("dct"); j.value(dctAlgorithm);
-  j.key("init"); j.value(initialPlacement);
-  j.key("target_density"); j.value(targetDensity);
-  j.key("stop_overflow"); j.value(stopOverflow);
-  j.key("max_iterations"); j.value(maxIterations);
-  j.key("bins_max"); j.value(binsMax);
-  j.key("routability"); j.value(routability);
-  j.key("detailed_placement"); j.value(detailedPlacement);
-  if (!optionsJson.empty()) {
-    j.key("options");
-    j.rawValue(optionsJson);
-  }
-  j.closeObject();
+  j.rawValue(optionsJson.empty() ? "{}" : optionsJson);
 
   j.key("result");
   j.openObject();
@@ -357,26 +307,6 @@ std::string RunReport::toJson() const {
   j.key("width_f32"); j.value(simdWidthF32);
   j.key("width_f64"); j.value(simdWidthF64);
   j.closeObject();
-
-  // Back-end (LG/DP) work summary, lifted out of the counter table so the
-  // report states the post-GP effort at a glance.
-  {
-    const auto counterOr0 = [this](const char* key) -> std::int64_t {
-      const auto it = counters.find(key);
-      return it == counters.end() ? 0 : it->second;
-    };
-    j.key("backend");
-    j.openObject();
-    j.key("lg_segments_tried"); j.value(counterOr0("lg/segments_tried"));
-    j.key("dp_reorder_windows"); j.value(counterOr0("dp/reorder_windows"));
-    j.key("dp_reorder_moves"); j.value(counterOr0("dp/reorder_moves"));
-    j.key("dp_swap_candidates"); j.value(counterOr0("dp/swap_candidates"));
-    j.key("dp_swap_moves"); j.value(counterOr0("dp/swap_moves"));
-    j.key("dp_ism_moves"); j.value(counterOr0("dp/ism_moves"));
-    j.key("dp_bbox_delta"); j.value(counterOr0("dp/bbox_delta"));
-    j.key("dp_bbox_rescan"); j.value(counterOr0("dp/bbox_rescan"));
-    j.closeObject();
-  }
 
   j.key("gp_runs");
   j.openArray();
@@ -443,171 +373,16 @@ std::string RunReport::toJson() const {
   return j.out;
 }
 
-std::string RunReport::toText() const {
-  std::string out;
-  char line[256];
-  const auto add = [&out, &line] { out += line; };
-
-  std::snprintf(line, sizeof(line), "=== flow run report%s%s ===\n",
-                label.empty() ? "" : ": ", label.c_str());
-  add();
-  std::snprintf(line, sizeof(line),
-                "design: %d cells (%d movable), %d nets, %d pins\n",
-                static_cast<int>(numCells), static_cast<int>(numMovable),
-                static_cast<int>(numNets), static_cast<int>(numPins));
-  add();
-  std::snprintf(line, sizeof(line),
-                "config: %s, %s solver, wl %s/%s, density %s, dct %s\n",
-                precision.c_str(), solver.c_str(), wirelengthModel.c_str(),
-                wirelengthKernel.c_str(), densityKernel.c_str(),
-                dctAlgorithm.c_str());
-  add();
-  std::snprintf(line, sizeof(line),
-                "result: hpwl %.4e (gp %.4e, legal %.4e), overflow %.4f, "
-                "%d GP iterations, %s\n",
-                result.hpwl, result.hpwlGp, result.hpwlLegal, result.overflow,
-                result.gpIterations, result.legal ? "legal" : "NOT LEGAL");
-  add();
-  if (result.lgFallback || result.lgFailedCells > 0) {
-    std::snprintf(line, sizeof(line),
-                  "legalization: greedy fallback taken, %d cells unplaced "
-                  "after final pass\n",
-                  result.lgFailedCells);
-    add();
-  }
-
-  out += "\nstages:\n";
-  const double total = std::max(result.totalSeconds, 1e-12);
-  const auto stage = [&](const char* name, double s) {
-    std::snprintf(line, sizeof(line), "  %-6s %9.3fs %6.1f%%\n", name, s,
-                  100.0 * s / total);
-    add();
-  };
-  stage("gp", result.gpSeconds);
-  stage("lg", result.lgSeconds);
-  stage("dp", result.dpSeconds);
-  stage("io", ioSeconds);
-  std::snprintf(line, sizeof(line), "  %-6s %9.3fs\n", "total",
-                result.totalSeconds);
-  add();
-
-  std::snprintf(line, sizeof(line),
-                "\nparallel: %d threads, pool %.3fs busy / %.3fs capacity "
-                "(%.0f%% utilization)\n",
-                threads, poolBusySeconds, poolCapacitySeconds,
-                100.0 * poolUtilization);
-  add();
-
-  std::snprintf(line, sizeof(line),
-                "simd: %s (%s, %d/%d lanes f32/f64)\n",
-                simdEnabled ? "on" : "off", simdIsa.c_str(), simdWidthF32,
-                simdWidthF64);
-  add();
-
-  {
-    const auto counterOr0 = [this](const char* key) -> std::int64_t {
-      const auto it = counters.find(key);
-      return it == counters.end() ? 0 : it->second;
-    };
-    const std::int64_t lg_tried = counterOr0("lg/segments_tried");
-    const std::int64_t windows = counterOr0("dp/reorder_windows");
-    const std::int64_t cands = counterOr0("dp/swap_candidates");
-    if (lg_tried > 0 || windows > 0 || cands > 0) {
-      std::snprintf(line, sizeof(line),
-                    "backend: lg %" PRId64 " segment trials; dp %" PRId64
-                    " windows, %" PRId64 " swap candidates, bbox %" PRId64
-                    " delta / %" PRId64 " rescan\n",
-                    lg_tried, windows, cands, counterOr0("dp/bbox_delta"),
-                    counterOr0("dp/bbox_rescan"));
-      add();
-    }
-  }
-
-  if (!gpRuns.empty()) {
-    out += "\ngp runs:\n";
-    for (std::size_t i = 0; i < gpRuns.size(); ++i) {
-      const GlobalPlacerResult& run = gpRuns[i];
-      std::snprintf(line, sizeof(line),
-                    "  #%zu: %d iters, hpwl %.4e, overflow %.4f, %.2fs\n", i,
-                    run.iterations, run.hpwl, run.overflow, run.seconds);
-      add();
-    }
-  }
-
-  if (!timing.empty()) {
-    out += "\ntop self-time scopes:\n";
-    std::vector<std::pair<std::string, TimingStat>> rows(timing.begin(),
-                                                         timing.end());
-    std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-      return a.second.selfSeconds > b.second.selfSeconds;
-    });
-    const std::size_t top = std::min<std::size_t>(rows.size(), 12);
-    for (std::size_t i = 0; i < top; ++i) {
-      std::snprintf(line, sizeof(line),
-                    "  %-32s %8" PRId64 "x %9.3fs self %9.3fs incl\n",
-                    rows[i].first.c_str(), rows[i].second.count,
-                    rows[i].second.selfSeconds, rows[i].second.seconds);
-      add();
-    }
-  }
-
-  if (!trackedMemory.empty()) {
-    out += "\ntracked memory:\n";
-    for (const auto& [key, usage] : trackedMemory) {
-      std::snprintf(line, sizeof(line), "  %-32s %12s current %12s peak\n",
-                    key.c_str(), formatBytes(usage.currentBytes).c_str(),
-                    formatBytes(usage.peakBytes).c_str());
-      add();
-    }
-  }
-  if (processMemory.valid) {
-    std::snprintf(line, sizeof(line),
-                  "process rss: %s current, %s peak\n",
-                  formatBytes(processMemory.vmRssBytes).c_str(),
-                  formatBytes(processMemory.vmHwmBytes).c_str());
-    add();
-  }
-
-  if (!counters.empty()) {
-    out += "\ncounters:\n";
-    for (const auto& [key, value] : counters) {
-      std::snprintf(line, sizeof(line), "  %-40s %12" PRId64 "\n", key.c_str(),
-                    value);
-      add();
-    }
-  }
-
-  if (!warnings.empty()) {
-    out += "\nwarnings:\n";
-    for (const std::string& warning : warnings) {
-      out += "  ! ";
-      out += warning;
-      out += '\n';
-    }
-  }
-  return out;
-}
-
 bool writeRunReport(const RunReport& report, const std::string& jsonPath,
-                    const std::string& textPath, std::string* error) {
-  bool ok = true;
-  const auto fail = [&ok, error](const std::string& path) {
-    logWarn("report: cannot write %s", path.c_str());
-    if (error != nullptr) {
-      if (!error->empty()) {
-        *error += "; ";
-      }
-      *error += "report: cannot write " + path;
-    }
-    ok = false;
-  };
-  if (!jsonPath.empty() && !writeFile(jsonPath, report.toJson())) {
-    fail(jsonPath);
+                    std::string* error) {
+  if (writeFile(jsonPath, report.toJson())) {
+    return true;
   }
-  if (!textPath.empty() && !writeFile(textPath, report.toText())) {
-    fail(textPath);
+  logWarn("report: cannot write %s", jsonPath.c_str());
+  if (error != nullptr) {
+    *error = "report: cannot write " + jsonPath;
   }
-  return ok;
+  return false;
 }
 
 }  // namespace dreamplace

@@ -5,7 +5,7 @@
 // RunReport assembles the same facts from the live registries — timing
 // (with self-time and call counts), counters, memory attribution, one
 // summary per GP run — plus design/config metadata, and renders them as
-// one JSON document and/or a human-readable text summary.
+// one JSON document.
 //
 // Timing and counter sections come from the flow's own FlowContext
 // registries, which start empty when the flow starts — so a process that
@@ -35,7 +35,7 @@ namespace dreamplace {
 
 /// Everything one flow run exposes, ready to render.
 struct RunReport {
-  static constexpr const char* kSchema = "dreamplace.run_report.v1";
+  static constexpr const char* kSchema = "dreamplace.run_report.v2";
 
   std::string label;
 
@@ -46,24 +46,9 @@ struct RunReport {
   Index numPins = 0;
   double utilization = 0.0;
 
-  // Configuration (names, not enum ordinals, so reports stay diffable
-  // across enum reorderings).
-  std::string precision;
-  std::string solver;
-  std::string wirelengthModel;
-  std::string wirelengthKernel;
-  std::string densityKernel;
-  std::string dctAlgorithm;
-  std::string initialPlacement;
-  double targetDensity = 0.0;
-  double stopOverflow = 0.0;
-  int maxIterations = 0;
-  int binsMax = 0;
-  bool routability = false;
-  bool detailedPlacement = true;
-  /// PlacerOptions::toJson() of the producing run, spliced verbatim under
-  /// "config.options" — the complete configuration, not just the summary
-  /// fields above. Empty = omitted (hand-built reports in tests).
+  /// PlacerOptions::toJson() of the producing run, spliced verbatim as
+  /// "config" — the complete configuration. Empty renders as {}
+  /// (hand-built reports in tests).
   std::string optionsJson;
 
   // Outcome + stage breakdown.
@@ -91,7 +76,7 @@ struct RunReport {
 
   /// Conditions worth surfacing without digging through counters:
   /// nonzero trace/dropped, watchdog verdicts that raced completion.
-  /// Rendered as a JSON "warnings" array and a text section.
+  /// Rendered as a JSON "warnings" array.
   std::vector<std::string> warnings;
 
   // Registry sections: timing/counters are run deltas, memory is live.
@@ -101,7 +86,6 @@ struct RunReport {
   ProcessMemory processMemory;
 
   std::string toJson() const;
-  std::string toText() const;
 };
 
 /// Assembles the report for a finished flow run from `context`, the
@@ -114,12 +98,11 @@ RunReport buildRunReport(const Database& db, const PlacerOptions& options,
                          const std::vector<GlobalPlacerResult>& gpRuns,
                          FlowContext& context);
 
-/// Writes the JSON and/or text rendering to the given paths (empty path =
-/// skip). Logs a warning and returns false if any write fails, appending
-/// "report: cannot write <path>" to `error` (if non-null). placeDesign
-/// treats a failed write as a flow failure — a requested export must not
-/// silently vanish.
+/// Writes the JSON rendering to `jsonPath`. Logs a warning and returns
+/// false if the write fails, setting `error` (if non-null) to
+/// "report: cannot write <path>". placeDesign treats a failed write as a
+/// flow failure — a requested export must not silently vanish.
 bool writeRunReport(const RunReport& report, const std::string& jsonPath,
-                    const std::string& textPath, std::string* error = nullptr);
+                    std::string* error = nullptr);
 
 }  // namespace dreamplace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -141,33 +142,6 @@ TEST_F(BookshelfTest, MissingFileThrows) {
                std::runtime_error);
 }
 
-TEST_F(BookshelfTest, MalformedNetsThrows) {
-  {
-    std::ofstream aux(dir_ / "bad.aux");
-    aux << "RowBasedPlacement : bad.nodes bad.nets bad.wts bad.pl bad.scl\n";
-  }
-  {
-    std::ofstream nodes(dir_ / "bad.nodes");
-    nodes << "c0 4 12\n";
-  }
-  {
-    std::ofstream nets(dir_ / "bad.nets");
-    nets << "unknown_cell I : 0 0\n";  // pin before any NetDegree
-  }
-  std::ofstream(dir_ / "bad.wts");
-  {
-    std::ofstream pl(dir_ / "bad.pl");
-    pl << "c0 0 0 : N\n";
-  }
-  {
-    std::ofstream scl(dir_ / "bad.scl");
-    scl << "CoreRow Horizontal\n Coordinate : 0\n Height : 12\n"
-        << " SubrowOrigin : 0 NumSites : 10\nEnd\n";
-  }
-  EXPECT_THROW(readBookshelf((dir_ / "bad.aux").string()),
-               std::runtime_error);
-}
-
 GeneratorConfig mutatedDesignConfig() {
   GeneratorConfig cfg;
   cfg.numCells = 200;
@@ -246,6 +220,81 @@ bool contains(const std::string& line, const char* text) {
   return line.find(text) != std::string::npos;
 }
 
+TEST_F(BookshelfTest, MalformedNetsThrows) {
+  {
+    std::ofstream aux(dir_ / "bad.aux");
+    aux << "RowBasedPlacement : bad.nodes bad.nets bad.wts bad.pl bad.scl\n";
+  }
+  {
+    std::ofstream nodes(dir_ / "bad.nodes");
+    nodes << "c0 4 12\n";
+  }
+  {
+    std::ofstream nets(dir_ / "bad.nets");
+    nets << "unknown_cell I : 0 0\n";  // pin before any NetDegree
+  }
+  std::ofstream(dir_ / "bad.wts");
+  {
+    std::ofstream pl(dir_ / "bad.pl");
+    pl << "c0 0 0 : N\n";
+  }
+  {
+    std::ofstream scl(dir_ / "bad.scl");
+    scl << "CoreRow Horizontal\n Coordinate : 0\n Height : 12\n"
+        << " SubrowOrigin : 0 NumSites : 10\nEnd\n";
+  }
+  try {
+    readBookshelf((dir_ / "bad.aux").string());
+    ADD_FAILURE() << "no throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad.nets: line 1: pin:"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // Structural errors in a generated design name file, line and field.
+  const auto netDegree = [](const std::string& l) {
+    return l.rfind("NetDegree", 0) == 0;
+  };
+  const auto pinLine = [](const std::string& l) {
+    return !l.empty() && l[0] == '\t' && contains(l, " : ");
+  };
+  expectReadFails(writeMutated(dir_, "nets", netDegree, 1, "="), "nets",
+                  "NetDegree");
+  expectReadFails(writeMutated(dir_, "nets", pinLine, 0, "no_such_cell"),
+                  "nets", "cell name");
+  expectReadFails(
+      writeEdited(dir_, "nets",
+                  [&](std::vector<std::string>& lines) {
+                    // A copy of the first pin line, placed before its net.
+                    const auto pin =
+                        std::find_if(lines.begin(), lines.end(), pinLine);
+                    const auto net =
+                        std::find_if(lines.begin(), lines.end(), netDegree);
+                    ASSERT_NE(pin, lines.end());
+                    const std::string copy = *pin;
+                    lines.insert(net, copy);
+                  }),
+      "nets", "pin");
+  expectReadFails(
+      writeEdited(dir_, "nodes",
+                  [](std::vector<std::string>& lines) {
+                    for (std::string& line : lines) {
+                      if (!line.empty() && line[0] == '\t') {
+                        line = "\tlonely_name";
+                        return;
+                      }
+                    }
+                  }),
+      "nodes", "node");
+  expectReadFails(writeMutated(dir_, "pl",
+                               [](const std::string& l) {
+                                 return contains(l, " : N");
+                               },
+                               0, "no_such_cell"),
+                  "pl", "cell name");
+}
+
 TEST_F(BookshelfTest, BadNumbersThrowNamingFileLineAndField) {
   // Each case once crashed the reader or a later stage (SIGSEGV on a nan
   // pin offset or /FIXED x, an assert abort on a non-positive size,
@@ -289,6 +338,20 @@ TEST_F(BookshelfTest, BadNumbersThrowNamingFileLineAndField) {
        2, "0", "Sitewidth"},
       {"scl", [](const std::string& l) { return contains(l, "Sitespacing"); },
        2, "0", "Sitespacing"},
+      // Magnitudes beyond 2^30 (bookshelf_reader.h): a 1e300 pin offset
+      // was accepted with HPWL 1e+300; the NumSites and Coordinate probes
+      // ended in a std::length_error naming no location.
+      {"nets", pinLine, 3, "1e300", "pin offset x"},
+      {"nodes", movableNode, 2, "5e9", "cell height"},
+      {"pl", [](const std::string& l) { return contains(l, " : N"); }, 1,
+       "-2e9", "x"},
+      {"scl", [](const std::string& l) { return contains(l, "NumSites"); },
+       5, "2000000000", "NumSites"},
+      {"scl", [](const std::string& l) { return contains(l, "Coordinate"); },
+       2, "1e15", "Coordinate"},
+      // Sites 1e7 apart end the row beyond the bound.
+      {"scl", [](const std::string& l) { return contains(l, "Sitespacing"); },
+       2, "1e7", "NumSites"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.ext + " " + c.expectField + " = " + c.value);

@@ -447,10 +447,11 @@ TEST(EngineTest, BatchReportJsonPassesCheckedInBaseline) {
   EXPECT_EQ(flat.numbers.at("counts.succeeded"), 3.0);
   EXPECT_EQ(flat.strings.at("jobs.0.name"), "eng7");
   EXPECT_EQ(flat.strings.at("jobs.1.report.schema"),
-            "dreamplace.run_report.v1");
-  // The embedded report carries the full options echo.
-  EXPECT_EQ(flat.strings.at("jobs.0.report.config.options.gp.solver"),
-            flat.strings.at("jobs.0.report.config.solver"));
+            "dreamplace.run_report.v2");
+  // The embedded report carries the job's full configuration.
+  EXPECT_EQ(flat.strings.at("jobs.0.report.config.gp.solver"),
+            solverName(engineFlow().gp.solver));
+  EXPECT_EQ(flat.strings.at("jobs.0.report.config.telemetry_label"), "eng7");
 
   const fs::path baselinePath =
       fs::path(__FILE__).parent_path().parent_path() / "tools" /

@@ -54,8 +54,6 @@ TEST(HeartbeatTest, StartsUnpublishedAndRoundTripsPublishes) {
   EXPECT_EQ(snapshot.hpwl, 123.5);
   EXPECT_EQ(snapshot.overflow, 0.42);
   EXPECT_EQ(snapshot.sequence % 2, 0u);
-  EXPECT_GE(snapshot.timestampMicros, 1);
-  EXPECT_GE(snapshot.ageSeconds(HeartbeatState::nowMicros()), 0.0);
 }
 
 TEST(HeartbeatTest, TracksRunningBestOverFiniteHpwls) {
@@ -315,7 +313,6 @@ TEST(HealthTest, TraceDropWarningSurfacesInRunReport) {
   ASSERT_EQ(report.warnings.size(), 1u);
   EXPECT_NE(report.warnings[0].find("trace"), std::string::npos);
   EXPECT_NE(report.toJson().find("\"warnings\""), std::string::npos);
-  EXPECT_NE(report.toText().find("warnings:"), std::string::npos);
 }
 
 }  // namespace

@@ -182,26 +182,6 @@ TEST(OptimizerTest, ResetClearsState) {
   EXPECT_NEAR(opt.params()[0], after_ten, 1e-12);
 }
 
-TEST(CompositeObjectiveTest, WeightsAndTermTracking) {
-  Quadratic<double> a({2.0}, {0.0});  // f = p^2
-  Quadratic<double> b({4.0}, {0.0});  // f = 2 p^2
-  CompositeObjective<double> composite;
-  composite.addTerm(&a, 1.0);
-  composite.addTerm(&b, 0.5);
-  std::vector<double> p{3.0};
-  std::vector<double> g{0.0};
-  const double value = composite.evaluate(p, g);
-  // 1*(0.5*2*9) + 0.5*(0.5*4*9) = 9 + 9 = 18; grad = 2*3 + 0.5*4*3 = 12.
-  EXPECT_DOUBLE_EQ(value, 18.0);
-  EXPECT_DOUBLE_EQ(g[0], 12.0);
-  EXPECT_DOUBLE_EQ(composite.lastTermValue(0), 9.0);
-  EXPECT_DOUBLE_EQ(composite.lastTermValue(1), 18.0);
-  composite.setWeight(1, 0.0);
-  const double value2 = composite.evaluate(p, g);
-  EXPECT_DOUBLE_EQ(value2, 9.0);
-  EXPECT_DOUBLE_EQ(g[0], 6.0);
-}
-
 TEST(OptimizerFloatTest, NesterovWorksInSinglePrecision) {
   Quadratic<float> obj({1.0, 1.0}, {2.0, -3.0});
   NesterovOptimizer<float> opt(obj, {0.0f, 0.0f});

@@ -6,6 +6,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/flow_context.h"
@@ -183,6 +186,53 @@ TEST(ThreadPoolTest, SerialModeCountsTasksToo) {
   const auto tasks0 = registry.value("parallel/tasks");
   parallelFor("test/serial", 100, 10, [](Index) {});
   EXPECT_EQ(registry.value("parallel/tasks") - tasks0, 10);
+}
+
+/// Sets an environment variable for one test, restoring its previous
+/// value (or absence) on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) {
+      old_ = old;
+      had_ = true;
+    }
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (had_) {
+      ::setenv(name_, old_.c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::string old_;
+  bool had_ = false;
+};
+
+TEST(ThreadPoolTest, MalformedThreadsVariableThrows) {
+  // A set DREAMPLACE_THREADS that is not a whole number >= 0 once meant
+  // "auto" silently.
+  for (const char* bad : {"abc", "4x", "", "-2"}) {
+    ScopedEnv env("DREAMPLACE_THREADS", bad);
+    ThreadPool pool;
+    try {
+      pool.setThreads(0);
+      ADD_FAILURE() << "no throw for '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("DREAMPLACE_THREADS"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
+          << what;
+    }
+  }
+  ScopedEnv env("DREAMPLACE_THREADS", "3");
+  ThreadPool pool;
+  pool.setThreads(0);
+  EXPECT_EQ(pool.threads(), 3);
 }
 
 }  // namespace

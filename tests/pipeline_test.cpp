@@ -6,6 +6,7 @@
 // at multiple thread counts, including every resume-comparable counter.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -172,6 +173,19 @@ TEST(CheckpointTest, DecodeRejectsCorruptDocuments) {
 
   const std::string trailing = bytes + "junk";
   EXPECT_THROW(decodeCheckpoint(trailing), std::runtime_error);
+
+  // A NaN or infinite position would be restored into the database.
+  for (const double bad : {std::nan(""), -HUGE_VAL}) {
+    CheckpointData corrupt;
+    corrupt.cellX = {1.0, 3.0};
+    corrupt.cellY = {2.0, bad};
+    try {
+      decodeCheckpoint(encodeCheckpoint(corrupt));
+      ADD_FAILURE() << "no throw for " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "checkpoint: non-finite position for cell 1");
+    }
+  }
 }
 
 TEST(CheckpointTest, FileRoundTripAndPathResolution) {

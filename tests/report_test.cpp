@@ -53,12 +53,10 @@ const FlatJson& freshReport() {
                          ("dp_report_test_" + std::to_string(::getpid()));
     fs::create_directories(dir);
     const fs::path json = dir / "report.json";
-    const fs::path text = dir / "report.txt";
 
     auto db = reportDesign();
     PlacerOptions options = reportFlow();
     options.reportJson = json.string();
-    options.reportText = text.string();
     options.telemetryLabel = "report_test";
     const FlowResult result = placeDesign(*db, options);
     EXPECT_TRUE(result.legal);
@@ -66,10 +64,6 @@ const FlatJson& freshReport() {
     auto* flat = new FlatJson;
     std::string error;
     EXPECT_TRUE(parseJsonFlat(readFile(json), *flat, &error)) << error;
-    // The text rendering exists and mentions the label.
-    const std::string rendered = readFile(text);
-    EXPECT_NE(rendered.find("report_test"), std::string::npos);
-    EXPECT_NE(rendered.find("stages:"), std::string::npos);
     fs::remove_all(dir);
     cached = flat;
   }
@@ -78,9 +72,15 @@ const FlatJson& freshReport() {
 
 TEST(ReportTest, JsonSchemaGolden) {
   const FlatJson& report = freshReport();
-  EXPECT_EQ(report.strings.at("schema"), "dreamplace.run_report.v1");
+  EXPECT_EQ(report.strings.at("schema"), "dreamplace.run_report.v2");
   EXPECT_EQ(report.strings.at("label"), "report_test");
   EXPECT_EQ(report.strings.at("config.precision"), "float64");
+  EXPECT_EQ(report.strings.at("config.gp.solver"),
+            solverName(reportFlow().gp.solver));
+  for (const char* path : {"config.gp.dct", "config.gp.wl_kernel",
+                           "config.gp.density_kernel", "config.gp.init"}) {
+    EXPECT_FALSE(report.strings.at(path).empty()) << path;
+  }
 
   // Pinned paths the regression gate and dashboards rely on.
   for (const char* path : {
@@ -101,41 +101,40 @@ TEST(ReportTest, JsonSchemaGolden) {
     EXPECT_TRUE(report.hasNumber(path)) << path;
   }
 
-  // The full options echo under config.options (PlacerOptions::toJson):
-  // complete, consistent with the summary fields, and faithful to the
-  // requesting options.
+  // The configuration is PlacerOptions::toJson, complete and faithful to
+  // the requesting options.
   for (const char* path : {
-           "config.options.threads", "config.options.run_global_placement",
-           "config.options.run_detailed_placement",
-           "config.options.routability", "config.options.gp.target_density",
-           "config.options.gp.max_iterations", "config.options.gp.seed",
-           "config.options.gp.bins_max", "config.options.gp.lr",
-           "config.options.dp.passes", "config.options.dp.enable_ism",
-           "config.options.greedy.row_search_window",
-           "config.options.abacus.row_search_window",
-           "config.options.checkpoint.every_iterations",
+           "config.threads", "config.run_global_placement",
+           "config.run_detailed_placement", "config.routability",
+           "config.gp.target_density", "config.gp.max_iterations",
+           "config.gp.seed", "config.gp.bins_max", "config.gp.lr",
+           "config.dp.passes", "config.dp.enable_ism",
+           "config.greedy.row_search_window",
+           "config.abacus.row_search_window",
+           "config.checkpoint.every_iterations",
        }) {
     EXPECT_TRUE(report.hasNumber(path)) << path;
   }
   // Checkpointing was off: the config echoes the empty paths, and the
   // result records a fallback-free legalization.
-  EXPECT_EQ(report.strings.at("config.options.checkpoint.dir"), "");
-  EXPECT_EQ(report.strings.at("config.options.checkpoint.name"), "");
-  EXPECT_EQ(report.strings.at("config.options.checkpoint.resume_from"), "");
-  EXPECT_EQ(report.numbers.at("config.options.run_global_placement"), 1.0);
+  EXPECT_EQ(report.strings.at("config.checkpoint.dir"), "");
+  EXPECT_EQ(report.strings.at("config.checkpoint.name"), "");
+  EXPECT_EQ(report.strings.at("config.checkpoint.resume_from"), "");
+  EXPECT_EQ(report.numbers.at("config.run_global_placement"), 1.0);
   EXPECT_EQ(report.numbers.at("result.lg_fallback"), 0.0);
   EXPECT_EQ(report.numbers.at("result.lg_failed_cells"), 0.0);
-  EXPECT_EQ(report.strings.at("config.options.precision"),
-            report.strings.at("config.precision"));
-  EXPECT_EQ(report.strings.at("config.options.gp.solver"),
-            report.strings.at("config.solver"));
-  EXPECT_EQ(report.strings.at("config.options.gp.dct"),
-            report.strings.at("config.dct"));
-  EXPECT_EQ(report.numbers.at("config.options.gp.max_iterations"), 300.0);
-  EXPECT_EQ(report.numbers.at("config.options.gp.bins_max"), 64.0);
-  EXPECT_EQ(report.numbers.at("config.options.dp.passes"), 1.0);
+  EXPECT_EQ(report.numbers.at("config.gp.max_iterations"), 300.0);
+  EXPECT_EQ(report.numbers.at("config.gp.bins_max"), 64.0);
+  EXPECT_EQ(report.numbers.at("config.dp.passes"), 1.0);
   // Routability was off, so its sub-options are omitted.
-  EXPECT_FALSE(report.hasNumber("config.options.routability_options.max_rounds"));
+  EXPECT_FALSE(report.hasNumber("config.routability_options.max_rounds"));
+  // No section mirrors another: the v1 "config" summary fields and the
+  // "backend" copy of the LG/DP counters are gone.
+  EXPECT_FALSE(report.hasNumber("config.options.threads"));
+  EXPECT_FALSE(report.hasNumber("config.max_iterations"));
+  EXPECT_FALSE(report.hasNumber("backend.lg_segments_tried"));
+  EXPECT_TRUE(report.hasNumber("counters.lg/segments_tried"));
+  EXPECT_TRUE(report.hasNumber("counters.dp/reorder_windows"));
 
   EXPECT_EQ(report.numbers.at("design.movable"), 600.0);  // pads excluded
   EXPECT_EQ(report.numbers.at("timing.gp.count"), 1.0);

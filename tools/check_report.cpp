@@ -5,7 +5,7 @@
 //                [--expect-status=<job>:<status>]...
 //                [--compare-jobs=<jobA>,<jobB>]
 //
-// <report.json> may be a single run report (dreamplace.run_report.v1) or
+// <report.json> may be a single run report (dreamplace.run_report.v2) or
 // a PlacementEngine batch report (dreamplace.batch_report.v1); for a
 // batch, every job must have succeeded and every job's embedded run
 // report is checked against the same baseline. --expect-status overrides
