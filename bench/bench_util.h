@@ -55,7 +55,7 @@ namespace dreamplace::bench {
 //   --threads=N               parallel-runtime worker threads (0 = auto)
 //   --log-level=LEVEL         debug|info|warn|error|silent
 // Environment: DREAMPLACE_THREADS, DREAMPLACE_LOG_LEVEL,
-// DREAMPLACE_BENCH_SCALE (and DREAMPLACE_BENCH_JSON, see benchJsonPath).
+// DREAMPLACE_BENCH_SCALE.
 // A malformed number (flag or variable) exits with status 2 and one
 // `error:` line naming it.
 // Any other flag except --json=<file> and --benchmark_* exits with status
@@ -228,15 +228,12 @@ inline double timingTotal(const RunReport& report, const std::string& key) {
 }
 
 /// Output path for the machine-readable result file of a bench binary.
-/// Precedence: --json=<file> > DREAMPLACE_BENCH_JSON > `fallback`; an
-/// empty value disables the export. Parse before benchmark::Initialize so
-/// the flag never reaches google-benchmark's own parser.
+/// The last --json=<file> wins over `fallback`; an empty value disables
+/// the export. Parse before benchmark::Initialize so the flag never reaches
+/// google-benchmark's own parser.
 inline std::string benchJsonPath(int argc, char** argv,
                                  const std::string& fallback) {
   std::string path = fallback;
-  if (const char* env = std::getenv("DREAMPLACE_BENCH_JSON")) {
-    path = env;
-  }
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--json=", 7) == 0) {
       path = argv[i] + 7;

@@ -7,20 +7,30 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <type_traits>
 
 namespace dreamplace {
 
-/// True when `token` spells one finite number in full (std::stod syntax);
-/// stores it in `value`.
-inline bool parseFinite(const std::string& token, double& value) {
-  std::size_t used = 0;
-  try {
-    value = std::stod(token, &used);
-  } catch (const std::exception&) {
-    return false;
+/// True when `token` spells one finite number in full; stores it in
+/// `value`. The syntax is std::from_chars' decimal form (digits with an
+/// optional '.', fraction and exponent, as in "-0", ".5", "5." or "1e-310")
+/// after at most one leading '+'. Hex floats, leading or trailing
+/// whitespace, nan, inf and magnitudes beyond double's range are rejected;
+/// subnormals are accepted. The result is correctly rounded, so it equals
+/// std::stod's bit for bit wherever both accept the token.
+inline bool parseFinite(std::string_view token, double& value) {
+  if (token.starts_with('+')) {
+    token.remove_prefix(1);
+    if (token.starts_with('+') || token.starts_with('-')) {
+      return false;
+    }
   }
-  return used != 0 && used == token.size() && std::isfinite(value);
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  return !token.empty() && ec == std::errc() && ptr == end &&
+         std::isfinite(value);
 }
 
 /// `token` as a T; `what` names the input (a flag or an argument) in the

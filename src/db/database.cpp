@@ -110,11 +110,12 @@ void Database::finalize() {
 
   buildCellPinCsr();
 
-  name_index_.reserve(n);
-  for (Index i = 0; i < n; ++i) {
-    name_index_.emplace_back(cell_name_[i], i);
-  }
-  std::sort(name_index_.begin(), name_index_.end());
+  name_index_.resize(n);
+  std::iota(name_index_.begin(), name_index_.end(), 0);
+  std::sort(name_index_.begin(), name_index_.end(), [&](Index a, Index b) {
+    const int order = cell_name_[a].compare(cell_name_[b]);
+    return order != 0 ? order < 0 : a < b;
+  });
 
   finalized_ = true;
 
@@ -184,14 +185,14 @@ void Database::validate() const {
   }
 }
 
-Index Database::findCell(const std::string& name) const {
-  auto it = std::lower_bound(
+Index Database::findCell(std::string_view name) const {
+  const auto it = std::lower_bound(
       name_index_.begin(), name_index_.end(), name,
-      [](const auto& entry, const std::string& key) {
-        return entry.first < key;
+      [this](Index cell, std::string_view key) {
+        return cell_name_[cell] < key;
       });
-  if (it != name_index_.end() && it->first == name) {
-    return it->second;
+  if (it != name_index_.end() && cell_name_[*it] == name) {
+    return *it;
   }
   return kInvalidIndex;
 }

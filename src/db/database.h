@@ -12,6 +12,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/geometry.h"
@@ -101,8 +102,9 @@ class Database {
   const std::vector<Coord>& cellWidths() const { return cell_width_; }
   const std::vector<Coord>& cellHeights() const { return cell_height_; }
 
-  /// Looks up a cell by name; kInvalidIndex if absent. O(1) after finalize.
-  Index findCell(const std::string& name) const;
+  /// Looks up a cell by name after finalize(): kInvalidIndex if absent,
+  /// the lowest index if several cells share the name. O(log n).
+  Index findCell(std::string_view name) const;
 
   // --- Nets ------------------------------------------------------------------
   const std::string& netName(Index net) const { return net_name_[net]; }
@@ -179,7 +181,7 @@ class Database {
   std::vector<Index> cell_pin_start_;
   std::vector<Index> cell_pins_;
 
-  std::vector<std::pair<std::string, Index>> name_index_;  // sorted lookup
+  std::vector<Index> name_index_;  // cells sorted by (name, index)
   TrackedBytes mem_{"db"};  ///< flat-array footprint, set in finalize()
   bool finalized_ = false;
 };

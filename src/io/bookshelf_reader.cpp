@@ -1,11 +1,14 @@
 #include "io/bookshelf_reader.h"
 
-#include <cctype>
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <functional>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 #include <unordered_map>
 #include <vector>
 
@@ -26,70 +29,133 @@ constexpr double kMaxMagnitude = double(Index(1) << 30);
   throw std::runtime_error("bookshelf: " + file + ": " + what);
 }
 
-/// Reads a file line by line, stripping comments (#) and blank lines, and
-/// skipping the "UCLA <kind> 1.0" header if present. Tracks the 1-based
-/// number of the line last returned, for error messages.
+/// How the line walk treats a byte.
+enum class CharClass : unsigned char {
+  kToken,
+  kBlank,
+  kColon,
+  kNewline,
+  kHash
+};
+
+/// CharClass of every byte: C-locale whitespace other than '\n' is blank,
+/// ':' separates and is a token of its own, '#' starts a comment.
+constexpr std::array<CharClass, 256> kCharClass = [] {
+  std::array<CharClass, 256> table{};
+  for (const char ch : {' ', '\t', '\r', '\v', '\f'}) {
+    table[static_cast<unsigned char>(ch)] = CharClass::kBlank;
+  }
+  table[':'] = CharClass::kColon;
+  table['\n'] = CharClass::kNewline;
+  table['#'] = CharClass::kHash;
+  return table;
+}();
+
+CharClass classOf(char ch) {
+  return kCharClass[static_cast<unsigned char>(ch)];
+}
+
+/// A whole file read into one buffer and walked line by line in one pass:
+/// strips comments (#), skips blank lines and the "UCLA <kind> 1.0" header,
+/// and splits each remaining line on whitespace and ':' (':' is a token of
+/// its own). Tracks the 1-based number of the current line, for error
+/// messages. The tokens view the buffer, and each parse function owns its
+/// reader, so no file's bytes outlive its parse.
 class LineReader {
  public:
-  explicit LineReader(const std::string& path) : path_(path), in_(path) {
-    if (!in_) {
+  explicit LineReader(const std::string& path) : path_(path) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
       dreamplace::fail(path, "cannot open");
+    }
+    std::error_code size_error;
+    const auto size = fs::file_size(path, size_error);
+    if (!size_error) {
+      text_.reserve(size);
+    }
+    char chunk[1 << 16];
+    while (in.read(chunk, sizeof chunk), in.gcount() > 0) {
+      text_.append(chunk, static_cast<std::size_t>(in.gcount()));
     }
   }
 
-  /// Next meaningful line; false at EOF.
-  bool next(std::string& line) {
-    while (std::getline(in_, line)) {
+  /// Advances to the next line that has a token, skipping the UCLA
+  /// header; false at the end.
+  bool next() {
+    const char* p = text_.data() + pos_;
+    const char* const end = text_.data() + text_.size();
+    while (p != end) {
       ++line_number_;
-      const auto hash = line.find('#');
-      if (hash != std::string::npos) {
-        line.erase(hash);
+      tokens_.clear();
+      while (p != end) {
+        const CharClass kind = classOf(*p);
+        if (kind == CharClass::kToken) {
+          const char* const start = p;
+          while (++p != end && classOf(*p) == CharClass::kToken) {
+          }
+          tokens_.emplace_back(start, p - start);
+        } else if (kind == CharClass::kBlank) {
+          ++p;
+        } else if (kind == CharClass::kColon) {
+          tokens_.emplace_back(p++, 1);
+        } else {
+          if (kind == CharClass::kHash) {
+            p = std::find(p, end, '\n');
+          }
+          break;
+        }
       }
-      // Trim.
-      const auto begin = line.find_first_not_of(" \t\r\n");
-      if (begin == std::string::npos) {
-        continue;
+      if (p != end) {
+        ++p;  // the '\n'
       }
-      const auto end = line.find_last_not_of(" \t\r\n");
-      line = line.substr(begin, end - begin + 1);
-      if (line.rfind("UCLA", 0) == 0) {
-        continue;
+      if (!tokens_.empty() && !tokens_.front().starts_with("UCLA")) {
+        pos_ = p - text_.data();
+        line_ = std::string_view(tokens_.front().data(),
+                                 tokens_.back().data() +
+                                     tokens_.back().size() -
+                                     tokens_.front().data());
+        return true;
       }
-      return true;
     }
+    pos_ = text_.size();
     return false;
   }
 
-  const std::string& path() const { return path_; }
+  /// The current line's tokens (never empty after next() returned true).
+  const std::vector<std::string_view>& tokens() const { return tokens_; }
+  /// The current line, comment and surrounding blanks stripped.
+  std::string lineText() const { return std::string(line_); }
+  std::size_t bytes() const { return text_.size(); }
 
-  /// The finite number `token` spells in full, as field `field` of the
-  /// current line, at most kMaxMagnitude in magnitude; throws naming the
-  /// file, the line and the field otherwise.
-  double number(const std::string& token, const char* field) const {
+  /// The finite number `token` spells in full (see bookshelf_reader.h), as
+  /// field `field` of the current line, at most kMaxMagnitude in magnitude;
+  /// throws naming the file, the line and the field otherwise.
+  double number(std::string_view token, const char* field) const {
     double value = 0.0;
     if (!parseFinite(token, value)) {
-      fail(field, "'" + token + "' is not a finite number");
+      fail(field, "'" + std::string(token) + "' is not a finite number");
     }
     if (std::abs(value) > kMaxMagnitude) {
-      fail(field, "'" + token + "' exceeds the limit of 2^30 in magnitude");
+      fail(field, "'" + std::string(token) +
+                      "' exceeds the limit of 2^30 in magnitude");
     }
     return value;
   }
 
   /// Like number(), additionally requiring value > 0.
-  double positive(const std::string& token, const char* field) const {
+  double positive(std::string_view token, const char* field) const {
     const double value = number(token, field);
     if (value <= 0.0) {
-      fail(field, "must be positive, got " + token);
+      fail(field, "must be positive, got " + std::string(token));
     }
     return value;
   }
 
   /// Like number(), additionally requiring a non-negative integer.
-  double count(const std::string& token, const char* field) const {
+  double count(std::string_view token, const char* field) const {
     const double value = number(token, field);
     if (value < 0.0 || value != std::floor(value)) {
-      fail(field, "must be a non-negative integer, got " + token);
+      fail(field, "must be a non-negative integer, got " + std::string(token));
     }
     return value;
   }
@@ -107,32 +173,22 @@ class LineReader {
 
  private:
   std::string path_;
-  std::ifstream in_;
+  std::string text_;
+  std::size_t pos_ = 0;
   int line_number_ = 0;
+  std::string_view line_;
+  std::vector<std::string_view> tokens_;
 };
 
-/// Splits on whitespace and the ':' separator (treated as its own token).
-std::vector<std::string> tokenize(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::string current;
-  for (char ch : line) {
-    if (std::isspace(static_cast<unsigned char>(ch)) || ch == ':') {
-      if (!current.empty()) {
-        tokens.push_back(current);
-        current.clear();
-      }
-      if (ch == ':') {
-        tokens.emplace_back(":");
-      }
-    } else {
-      current.push_back(ch);
-    }
+/// Cell name -> index, looked up by string_view without building a key.
+struct NameHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view name) const noexcept {
+    return std::hash<std::string_view>{}(name);
   }
-  if (!current.empty()) {
-    tokens.push_back(current);
-  }
-  return tokens;
-}
+};
+using NameMap =
+    std::unordered_map<std::string, Index, NameHash, std::equal_to<>>;
 
 /// A "<field> : n" header line, checked against the entities parsed. A
 /// missing header is not an error.
@@ -141,8 +197,9 @@ struct HeaderCount {
   double declared = -1.0;  ///< -1 while the header is absent.
   int line = 0;
 
-  /// Records the header if `tokens` is this field's line.
-  bool read(const LineReader& reader, const std::vector<std::string>& tokens) {
+  /// Records the header if the reader's current line is this field's.
+  bool read(const LineReader& reader) {
+    const auto& tokens = reader.tokens();
     if (tokens[0] != field) {
       return false;
     }
@@ -173,24 +230,23 @@ struct AuxFiles {
 
 AuxFiles parseAux(const std::string& auxPath) {
   LineReader reader(auxPath);
-  std::string line;
-  if (!reader.next(line)) {
+  if (!reader.next()) {
     fail(auxPath, "empty .aux");
   }
   AuxFiles files;
   const fs::path dir = fs::path(auxPath).parent_path();
-  for (const std::string& tok : tokenize(line)) {
-    const fs::path p = dir / tok;
+  for (const std::string_view tok : reader.tokens()) {
+    const std::string p = (dir / tok).string();
     if (tok.ends_with(".nodes")) {
-      files.nodes = p.string();
+      files.nodes = p;
     } else if (tok.ends_with(".nets")) {
-      files.nets = p.string();
+      files.nets = p;
     } else if (tok.ends_with(".wts")) {
-      files.wts = p.string();
+      files.wts = p;
     } else if (tok.ends_with(".pl")) {
-      files.pl = p.string();
+      files.pl = p;
     } else if (tok.ends_with(".scl")) {
-      files.scl = p.string();
+      files.scl = p;
     }
   }
   if (files.nodes.empty() || files.nets.empty() || files.pl.empty() ||
@@ -200,22 +256,26 @@ AuxFiles parseAux(const std::string& auxPath) {
   return files;
 }
 
-void parseNodes(const std::string& path, Database& db,
-                std::unordered_map<std::string, Index>& byName) {
+void parseNodes(const std::string& path, Database& db, NameMap& byName) {
   LineReader reader(path);
-  std::string line;
   HeaderCount num_nodes{"NumNodes"};
   HeaderCount num_terminals{"NumTerminals"};
   Index nodes = 0;
   Index terminals = 0;
-  while (reader.next(line)) {
-    auto tokens = tokenize(line);
-    if (tokens.empty() || num_nodes.read(reader, tokens) ||
-        num_terminals.read(reader, tokens)) {
+  while (reader.next()) {
+    const auto& tokens = reader.tokens();
+    if (num_nodes.read(reader)) {
+      // A node line takes at least 5 bytes ("a 1 1"), so a hostile header
+      // cannot reserve more than the file could hold.
+      byName.reserve(std::min(static_cast<std::size_t>(num_nodes.declared),
+                              reader.bytes() / 5));
+      continue;
+    }
+    if (num_terminals.read(reader)) {
       continue;
     }
     if (tokens.size() < 3) {
-      reader.fail("node", "bad node line '" + line +
+      reader.fail("node", "bad node line '" + reader.lineText() +
                               "', expected '<name> <width> <height>'");
     }
     const bool terminal =
@@ -223,19 +283,24 @@ void parseNodes(const std::string& path, Database& db,
         (tokens[3] == "terminal" || tokens[3] == "terminal_NI");
     const double width = reader.positive(tokens[1], "cell width");
     const double height = reader.positive(tokens[2], "cell height");
-    const Index id = db.addCell(tokens[0], width, height, !terminal);
-    byName.emplace(tokens[0], id);
+    const auto [it, inserted] =
+        byName.try_emplace(std::string(tokens[0]), db.numCells());
+    if (!inserted) {
+      reader.fail("node name", "duplicate cell name '" + it->first + "'");
+    }
+    db.addCell(it->first, width, height, !terminal);
     ++nodes;
     terminals += terminal ? 1 : 0;
   }
   num_nodes.check(reader, nodes);
   num_terminals.check(reader, terminals);
+  if (nodes == 0) {
+    fail(path, "no nodes found");
+  }
 }
 
-void parseNets(const std::string& path, Database& db,
-               const std::unordered_map<std::string, Index>& byName) {
+void parseNets(const std::string& path, Database& db, const NameMap& byName) {
   LineReader reader(path);
-  std::string line;
   HeaderCount num_nets{"NumNets"};
   HeaderCount num_pins{"NumPins"};
   Index nets = 0;
@@ -254,48 +319,47 @@ void parseNets(const std::string& path, Database& db,
     }
   };
   int anon = 0;
-  while (reader.next(line)) {
-    auto tokens = tokenize(line);
-    if (tokens.empty() || num_nets.read(reader, tokens) ||
-        num_pins.read(reader, tokens)) {
+  while (reader.next()) {
+    const auto& tokens = reader.tokens();
+    if (num_nets.read(reader) || num_pins.read(reader)) {
       continue;
     }
     if (tokens[0] == "NetDegree") {
       // "NetDegree : d [name]"
       if (tokens.size() < 3 || tokens[1] != ":") {
-        reader.fail("NetDegree", "bad NetDegree line '" + line +
+        reader.fail("NetDegree", "bad NetDegree line '" + reader.lineText() +
                                      "', expected 'NetDegree : <degree>'");
       }
       closeNet();
       degree = static_cast<Index>(reader.count(tokens[2], "NetDegree"));
       if (degree < 1) {
-        reader.fail("NetDegree", "must be at least 1, got " + tokens[2]);
+        reader.fail("NetDegree",
+                    "must be at least 1, got " + std::string(tokens[2]));
       }
       remaining = degree;
       net_line = reader.line();
-      std::string name =
-          tokens.size() >= 4 ? tokens[3] : ("n" + std::to_string(anon++));
-      current_net = db.addNet(std::move(name));
+      current_net = db.addNet(tokens.size() >= 4
+                                  ? std::string(tokens[3])
+                                  : "n" + std::to_string(anon++));
       ++nets;
       continue;
     }
     // Pin line: "cellName I/O/B : offx offy" (offsets optional).
     if (current_net == kInvalidIndex || remaining <= 0) {
-      reader.fail("pin", "pin line outside a net: '" + line + "'");
+      reader.fail("pin", "pin line outside a net: '" + reader.lineText() + "'");
     }
-    auto it = byName.find(tokens[0]);
+    const auto it = byName.find(tokens[0]);
     if (it == byName.end()) {
-      reader.fail("cell name", "unknown cell in net: " + tokens[0]);
+      reader.fail("cell name",
+                  "unknown cell in net: " + std::string(tokens[0]));
     }
     double offx = 0.0;
     double offy = 0.0;
-    // Find the ':' then read two numbers if present.
-    for (size_t i = 1; i + 2 < tokens.size() + 0u; ++i) {
+    // The first ':' followed by two tokens introduces the offsets.
+    for (std::size_t i = 1; i + 2 < tokens.size(); ++i) {
       if (tokens[i] == ":") {
-        if (i + 2 < tokens.size()) {
-          offx = reader.number(tokens[i + 1], "pin offset x");
-          offy = reader.number(tokens[i + 2], "pin offset y");
-        }
+        offx = reader.number(tokens[i + 1], "pin offset x");
+        offy = reader.number(tokens[i + 2], "pin offset y");
         break;
       }
     }
@@ -315,58 +379,73 @@ void parseWts(const std::string& path, Database&) {
     return;
   }
   LineReader reader(path);
-  std::string line;
-  while (reader.next(line)) {
+  while (reader.next()) {
     // No-op.
   }
 }
 
-void parsePl(const std::string& path, Database& db,
-             const std::unordered_map<std::string, Index>& byName) {
+/// Sets the position of each cell a .pl line names; `find` maps a name to
+/// its index or kInvalidIndex.
+template <typename Find>
+void readPositions(const std::string& path, Database& db, Find find) {
   LineReader reader(path);
-  std::string line;
-  while (reader.next(line)) {
-    auto tokens = tokenize(line);
+  while (reader.next()) {
+    const auto& tokens = reader.tokens();
     if (tokens.size() < 3) {
       continue;
     }
-    auto it = byName.find(tokens[0]);
-    if (it == byName.end()) {
-      reader.fail("cell name", "unknown cell in .pl: " + tokens[0]);
+    const Index cell = find(tokens[0]);
+    if (cell == kInvalidIndex) {
+      reader.fail("cell name",
+                  "unknown cell in .pl: " + std::string(tokens[0]));
     }
-    db.setCellPosition(it->second, reader.number(tokens[1], "x"),
+    db.setCellPosition(cell, reader.number(tokens[1], "x"),
                        reader.number(tokens[2], "y"));
   }
 }
 
 void parseScl(const std::string& path, Database& db) {
   LineReader reader(path);
-  std::string line;
   Row row;
   bool in_row = false;
   double num_sites = 0;
   int num_sites_line = 0;
+  // Sitewidth is a site's width, Sitespacing the pitch between sites.
+  double site_width = 0;
+  double site_spacing = 0;
+  int site_width_line = 0;
   double min_x = 0;
   double min_y = 0;
   double max_x = 0;
   double max_y = 0;
   HeaderCount num_rows{"NumRows"};
   Index rows = 0;
-  while (reader.next(line)) {
-    auto tokens = tokenize(line);
-    if (tokens.empty() || num_rows.read(reader, tokens)) {
+  while (reader.next()) {
+    const auto& tokens = reader.tokens();
+    if (num_rows.read(reader)) {
       continue;
     }
     if (tokens[0] == "CoreRow") {
       in_row = true;
       row = Row{};
       num_sites = 0;
+      site_width = 0;
+      site_spacing = 0;
       continue;
     }
     if (!in_row) {
       continue;
     }
     if (tokens[0] == "End") {
+      if (site_spacing > 0 && site_width > site_spacing) {
+        reader.failAt(site_width_line, "Sitewidth",
+                      std::to_string(site_width) + " exceeds Sitespacing " +
+                          std::to_string(site_spacing));
+      }
+      const double pitch = site_spacing > 0 ? site_spacing : site_width;
+      if (pitch > 0) {
+        row.siteWidth = pitch;
+      }
       row.xh = row.xl + num_sites * row.siteWidth;
       if (std::abs(row.xh) > kMaxMagnitude) {
         reader.failAt(num_sites_line, "NumSites",
@@ -392,13 +471,15 @@ void parseScl(const std::string& path, Database& db) {
       row.y = reader.number(tokens[2], "Coordinate");
     } else if (tokens[0] == "Height" && tokens.size() >= 3) {
       row.height = reader.positive(tokens[2], "Height");
-    } else if ((tokens[0] == "Sitewidth" || tokens[0] == "Sitespacing") &&
-               tokens.size() >= 3) {
-      row.siteWidth = reader.positive(tokens[2], tokens[0].c_str());
+    } else if (tokens[0] == "Sitewidth" && tokens.size() >= 3) {
+      site_width = reader.positive(tokens[2], "Sitewidth");
+      site_width_line = reader.line();
+    } else if (tokens[0] == "Sitespacing" && tokens.size() >= 3) {
+      site_spacing = reader.positive(tokens[2], "Sitespacing");
     } else if (tokens[0] == "SubrowOrigin" && tokens.size() >= 3) {
       row.xl = reader.number(tokens[2], "SubrowOrigin");
       // "SubrowOrigin : x NumSites : n" may share a line.
-      for (size_t i = 3; i + 2 < tokens.size(); ++i) {
+      for (std::size_t i = 3; i + 2 < tokens.size(); ++i) {
         if (tokens[i] == "NumSites" && tokens[i + 1] == ":") {
           num_sites = reader.positive(tokens[i + 2], "NumSites");
           num_sites_line = reader.line();
@@ -420,37 +501,28 @@ void parseScl(const std::string& path, Database& db) {
 
 void readPlacement(Database& db, const std::string& plPath) {
   DP_ASSERT_MSG(db.finalized(), "readPlacement needs a finalized database");
-  LineReader reader(plPath);
-  std::string line;
-  while (reader.next(line)) {
-    auto tokens = tokenize(line);
-    if (tokens.size() < 3) {
-      continue;
-    }
-    const Index cell = db.findCell(tokens[0]);
-    if (cell == kInvalidIndex) {
-      reader.fail("cell name", "unknown cell in .pl: " + tokens[0]);
-    }
-    db.setCellPosition(cell, reader.number(tokens[1], "x"),
-                       reader.number(tokens[2], "y"));
-  }
+  readPositions(plPath, db,
+                [&db](std::string_view name) { return db.findCell(name); });
 }
 
 std::unique_ptr<Database> readBookshelf(const std::string& auxPath) {
   ScopedTimer timer("io/read");
   const AuxFiles files = parseAux(auxPath);
   auto db = std::make_unique<Database>();
-  std::unordered_map<std::string, Index> byName;
+  NameMap byName;
   parseNodes(files.nodes, *db, byName);
   parseNets(files.nets, *db, byName);
   if (!files.wts.empty()) {
     parseWts(files.wts, *db);
   }
   parseScl(files.scl, *db);
-  parsePl(files.pl, *db, byName);
+  // Movable-first reordering in finalize() invalidates byName's indices,
+  // so positions are set before it.
+  readPositions(files.pl, *db, [&byName](std::string_view name) {
+    const auto it = byName.find(name);
+    return it == byName.end() ? kInvalidIndex : it->second;
+  });
   db->finalize();
-  // Movable-first reordering invalidates byName indices, so positions were
-  // set pre-finalize; re-resolve nothing here.
   logInfo("bookshelf: loaded %d cells (%d movable), %d nets, %d pins",
           db->numCells(), db->numMovable(), db->numNets(), db->numPins());
   return db;

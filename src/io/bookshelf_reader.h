@@ -16,6 +16,22 @@ namespace dreamplace {
 /// Throws std::runtime_error on malformed input or missing files, naming
 /// the file and, for malformed content, the line and the field.
 ///
+/// Each file is read whole into one buffer and parsed from memory; the
+/// buffer is released before its parse returns.
+///
+/// A number is one token in std::from_chars' decimal syntax ("12", "-0.5",
+/// ".5", "5.", "1e-310") with at most one leading '+'. Hex floats, nan, inf
+/// and text around the number ("12abc") are errors.
+///
+/// Cell names in the .nodes file must be unique; a repeated name throws
+/// naming the line and the field `node name`. A .nodes file with no node
+/// throws.
+///
+/// In the .scl, Sitespacing is the site pitch and Sitewidth the width of
+/// one site; a row with only one of the two uses it as the pitch, in
+/// whichever order the lines come. Sitewidth greater than Sitespacing
+/// throws naming the Sitewidth line.
+///
 /// Every number (coordinate, cell size, pin offset, row origin, site
 /// width, count) must be at most 2^30 in magnitude, and so must each
 /// row's end (SubrowOrigin + NumSites * Sitewidth). Grids, rows and sites

@@ -300,10 +300,16 @@ void computeFillers(const Database& db, double targetDensity,
   }
   avg_w = db.numMovable() > 0 ? avg_w / db.numMovable() : db.siteWidth();
   const double h = db.rowHeight() > 0 ? db.rowHeight() : avg_w;
-  const auto count =
-      static_cast<Index>(std::floor(filler_total / (avg_w * h)));
-  widths.assign(count, static_cast<T>(avg_w));
-  heights.assign(count, static_cast<T>(h));
+  const double count = std::floor(filler_total / (avg_w * h));
+  if (!(count <= kMaxFillers)) {
+    throw std::invalid_argument(
+        "computeFillers: die area " + std::to_string(db.dieArea().area()) +
+        " with whitespace " + std::to_string(whitespace) +
+        " around a movable area of " + std::to_string(movable) + " needs " +
+        std::to_string(count) + " fillers, more than the limit of 2^24");
+  }
+  widths.assign(static_cast<Index>(count), static_cast<T>(avg_w));
+  heights.assign(static_cast<Index>(count), static_cast<T>(h));
 }
 
 std::vector<int> assignFillerGroups(const Database& db,

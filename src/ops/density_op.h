@@ -145,10 +145,18 @@ class DensityOp final : public ObjectiveFunction<T> {
   TrackedBytes mem_{"ops/density/grids"};  ///< all maps above
 };
 
+/// Most fillers computeFillers() creates: 2^24, about 8x the cell count of
+/// bigblue4, the largest ISPD 2005 design. Only a die that is almost all
+/// whitespace (rows ~2^29 sites wide around a handful of cells) asks for
+/// more, and placing it would take gigabytes for nothing.
+inline constexpr Index kMaxFillers = Index(1) << 24;
+
 /// Computes the filler cell sizes for a database: total filler area =
 /// targetDensity * whitespace - movable area (zero if negative); fillers
 /// are square-ish with the average movable cell dimensions, matching
-/// ePlace's whitespace filling.
+/// ePlace's whitespace filling. Throws std::invalid_argument naming the die
+/// area, whitespace, movable area and filler count when the count exceeds
+/// kMaxFillers; nothing is allocated then.
 template <typename T>
 void computeFillers(const Database& db, double targetDensity,
                     std::vector<T>& widths, std::vector<T>& heights);

@@ -2,13 +2,17 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/parse.h"
 #include "db/metrics.h"
 #include "gen/netlist_generator.h"
 #include "io/bookshelf_reader.h"
@@ -293,6 +297,20 @@ TEST_F(BookshelfTest, MalformedNetsThrows) {
                                },
                                0, "no_such_cell"),
                   "pl", "cell name");
+  // A copied node line once added a second, pinless cell of the same name
+  // that the .pl writer then emitted twice.
+  expectReadFails(
+      writeEdited(dir_, "nodes",
+                  [](std::vector<std::string>& lines) {
+                    const auto node = std::find_if(
+                        lines.begin(), lines.end(), [](const std::string& l) {
+                          return !l.empty() && l[0] == '\t';
+                        });
+                    ASSERT_NE(node, lines.end());
+                    const std::string copy = *node;
+                    lines.insert(node + 1, copy);
+                  }),
+      "nodes", "node name");
 }
 
 TEST_F(BookshelfTest, BadNumbersThrowNamingFileLineAndField) {
@@ -352,11 +370,109 @@ TEST_F(BookshelfTest, BadNumbersThrowNamingFileLineAndField) {
       // Sites 1e7 apart end the row beyond the bound.
       {"scl", [](const std::string& l) { return contains(l, "Sitespacing"); },
        2, "1e7", "NumSites"},
+      // Sites 1e7 wide at a pitch of 1 overlap; a later Sitespacing line
+      // once overwrote the width and the row was accepted.
+      {"scl", [](const std::string& l) { return contains(l, "Sitewidth"); },
+       2, "1e7", "Sitewidth"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.ext + " " + c.expectField + " = " + c.value);
     expectReadFails(writeMutated(dir_, c.ext, c.pick, c.field, c.value),
                     c.ext, c.expectField);
+  }
+}
+
+TEST_F(BookshelfTest, SitePitchDoesNotDependOnLineOrder) {
+  // Sitespacing is the pitch whether it comes before or after Sitewidth.
+  std::vector<double> pitches;
+  std::vector<double> die_widths;
+  for (const bool spacing_first : {false, true}) {
+    SCOPED_TRACE(spacing_first ? "Sitespacing first" : "Sitewidth first");
+    const std::string aux =
+        writeEdited(dir_, "scl", [&](std::vector<std::string>& lines) {
+          for (std::size_t i = 0; i + 1 < lines.size(); ++i) {
+            if (contains(lines[i], "Sitewidth")) {
+              ASSERT_TRUE(contains(lines[i + 1], "Sitespacing"));
+              lines[i] = " Sitewidth : 1";
+              lines[i + 1] = " Sitespacing : 2";
+              if (spacing_first) {
+                std::swap(lines[i], lines[i + 1]);
+              }
+              ++i;
+            }
+          }
+        });
+    const auto db = readBookshelf(aux);
+    pitches.push_back(db->siteWidth());
+    die_widths.push_back(db->dieArea().width());
+  }
+  EXPECT_EQ(pitches, std::vector<double>(2, 2.0));
+  EXPECT_EQ(die_widths[0], die_widths[1]);
+  const auto original = generateNetlist(mutatedDesignConfig());
+  EXPECT_DOUBLE_EQ(die_widths[0], 2 * original->dieArea().width());
+}
+
+TEST(ParseFiniteTest, PinsTheNumberSyntax) {
+  for (const char* token : {"+1", ".5", "5.", "-0", "1e5", "1e-310"}) {
+    double value = 0.0;
+    EXPECT_TRUE(parseFinite(token, value)) << token;
+    EXPECT_EQ(value, std::strtod(token, nullptr)) << token;
+  }
+  for (const char* token : {"0x10", " 1", "++1", "+-1", "+nan", "1e", ".",
+                            "e5", "1e999", "nan", "inf", "", "+", "1 ",
+                            "1,5"}) {
+    double value = 0.0;
+    EXPECT_FALSE(parseFinite(token, value)) << "'" << token << "'";
+  }
+}
+
+TEST_F(BookshelfTest, TruncatedFilesLoadOrThrowNamingTheFile) {
+  // Every cut of a file, at a line boundary or inside a token, either
+  // loads or throws std::runtime_error naming that file: the reader never
+  // reads past the end of its buffer and never blames another file.
+  writeBookshelf(*generateNetlist(mutatedDesignConfig()), dir_.string(),
+                 "mut");
+  const std::string aux = (dir_ / "mut.aux").string();
+  for (const std::string ext : {"nodes", "nets", "pl", "scl"}) {
+    const fs::path path = dir_ / ("mut." + ext);
+    std::string text;
+    {
+      std::ifstream in(path, std::ios::binary);
+      text.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    std::vector<std::size_t> cuts = {0};
+    std::size_t line_start = 0;
+    while (line_start < text.size()) {
+      const std::size_t eol =
+          std::min(text.find('\n', line_start), text.size());
+      // The middle of the line's last token of two or more characters.
+      const std::string_view line(text.data() + line_start, eol - line_start);
+      const std::size_t last = line.find_last_not_of(" \t");
+      if (last != std::string_view::npos) {
+        const std::size_t blank = line.find_last_of(" \t", last);
+        const std::size_t begin =
+            blank == std::string_view::npos ? 0 : blank + 1;
+        if (last > begin) {
+          cuts.push_back(line_start + begin + (last - begin + 1) / 2);
+        }
+      }
+      line_start = eol + 1;
+      cuts.push_back(std::min(line_start, text.size()));
+    }
+    for (const std::size_t cut : cuts) {
+      std::ofstream(path, std::ios::binary) << text.substr(0, cut);
+      try {
+        readBookshelf(aux);
+      } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("mut." + ext), std::string::npos)
+            << "cut at byte " << cut << ": " << what;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "mut." << ext << " cut at byte " << cut
+                      << ": not a std::runtime_error: " << e.what();
+      }
+    }
+    std::ofstream(path, std::ios::binary) << text;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "db/database.h"
@@ -145,6 +146,13 @@ TEST(DatabaseTest, FindCell) {
   EXPECT_NE(db.findCell("c"), kInvalidIndex);
   EXPECT_EQ(db.findCell("nope"), kInvalidIndex);
   EXPECT_EQ(db.findCell(""), kInvalidIndex);
+  // A view that is not NUL-terminated finds its own characters only.
+  EXPECT_EQ(db.findCell(std::string_view("cx").substr(0, 1)),
+            db.findCell("c"));
+  // A second cell named "b" (added last, 2 wide) loses to the first.
+  Database dup =
+      makeTinyDb([](Database& d) { d.addCell("b", 2, 12, true); });
+  EXPECT_DOUBLE_EQ(dup.cellWidth(dup.findCell("b")), 4);
 }
 
 TEST(DatabaseTest, Areas) {

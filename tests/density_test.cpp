@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "gen/netlist_generator.h"
@@ -312,6 +315,35 @@ TEST(ComputeFillersTest, FillsWhitespaceToTarget) {
   // A lower target can require no fillers at all.
   computeFillers<double>(*db, 0.3, w, h);
   EXPECT_TRUE(w.empty());
+}
+
+TEST(ComputeFillersTest, HugeSparseDieThrowsBeforeAllocating) {
+  // Two 4x12 cells on one row 2^29 sites wide: 2^27 fillers of 48 each
+  // would fill the whitespace. The uncapped count once asked for them all.
+  Database db;
+  const Index a = db.addCell("a", 4, 12, true);
+  const Index b = db.addCell("b", 4, 12, true);
+  const Index net = db.addNet("n");
+  db.addPin(net, a, 0, 0);
+  db.addPin(net, b, 0, 0);
+  const Coord width = Coord(Index(1) << 29);
+  db.addRow({0, 12, 0, width, 1});
+  db.setDieArea({0, 0, width, 12});
+  db.finalize();
+  std::vector<float> w, h;
+  try {
+    computeFillers<float>(db, 1.0, w, h);
+    ADD_FAILURE() << "no throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    for (const char* part : {"die area", "whitespace", "movable area",
+                             "fillers", "2^24"}) {
+      EXPECT_NE(what.find(part), std::string::npos) << part << ": " << what;
+    }
+  }
+  EXPECT_TRUE(w.empty());
+  EXPECT_EQ(w.capacity(), 0u);
+  EXPECT_TRUE(h.empty());
 }
 
 }  // namespace
