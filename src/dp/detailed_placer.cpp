@@ -400,13 +400,13 @@ DetailedPlacerResult DetailedPlacer::run(Database& db) const {
               cache.moveCell(db, cell, cx, cy);
               db.setCellPosition(other, cx, cy);
               cache.moveCell(db, other, ox2, oy2);
-              // Update row occupancy.
-              const Index cell_row = rows.rowOf(db.cellY(other));
-              const Index other_row = rows.rowOf(db.cellY(cell));
-              std::replace(rows.rows[cell_row].begin(),
-                           rows.rows[cell_row].end(), cell, other);
-              std::replace(rows.rows[other_row].begin(),
-                           rows.rows[other_row].end(), other, cell);
+              // Update row occupancy: the two cells trade slots (which
+              // may lie in the same row).
+              auto& cell_row = rows.rows[rows.rowOf(db.cellY(other))];
+              auto& other_row = rows.rows[rows.rowOf(db.cellY(cell))];
+              std::iter_swap(
+                  std::find(cell_row.begin(), cell_row.end(), cell),
+                  std::find(other_row.begin(), other_row.end(), other));
               ++result.swapMoves;
               return true;
             });

@@ -93,5 +93,53 @@ TEST(DetailedPlacerTest, IdempotentOnConvergedPlacement) {
   EXPECT_NEAR(again.finalHpwl, converged, 0.003 * converged);
 }
 
+TEST(DetailedPlacerTest, SameRowSwapKeepsBothCellsInTheRowIndex) {
+  // Ten rows of height 12. Cell a (row 0, x 0) is pulled to b's slot
+  // (row 0, x 60) by pad p1, and b has no nets, so global swap exchanges
+  // them inside one row. Cell c (row 5) is then pulled to x 0 of row 0,
+  // where b now sits: c finds b only if the same-row swap left b in the
+  // row occupancy.
+  Database db;
+  const Index a = db.addCell("a", 4, 12, true);
+  const Index b = db.addCell("b", 4, 12, true);
+  const Index c = db.addCell("c", 4, 12, true);
+  const Index p1 = db.addCell("p1", 4, 12, false);
+  const Index p3 = db.addCell("p3", 4, 12, false);
+  db.setDieArea({0, 0, 120, 120});
+  for (int r = 0; r < 10; ++r) {
+    db.addRow({static_cast<Coord>(r * 12), 12, 0, 120, 1});
+  }
+  // Pad pins sit at the centers of b's slot and of row 0's first slot.
+  const Index na = db.addNet("na");
+  db.addPin(na, a, 0, 0);
+  db.addPin(na, p1, 62 - 118, 0);
+  const Index nc = db.addNet("nc");
+  db.addPin(nc, c, 0, 0);
+  db.addPin(nc, p3, 2 - 102, 0);
+  db.setCellPosition(a, 0, 0);
+  db.setCellPosition(b, 60, 0);
+  db.setCellPosition(c, 0, 60);
+  db.setCellPosition(p1, 116, 0);
+  db.setCellPosition(p3, 100, 0);
+  db.finalize();
+  const Index ia = db.findCell("a");
+  const Index ib = db.findCell("b");
+  const Index ic = db.findCell("c");
+
+  DetailedPlacer::Options options;
+  options.passes = 1;
+  options.enableIsm = false;
+  const auto result = DetailedPlacer(options).run(db);
+  EXPECT_EQ(result.swapMoves, 2);
+  EXPECT_EQ(db.cellX(ia), 60);
+  EXPECT_EQ(db.cellY(ia), 0);
+  EXPECT_EQ(db.cellX(ic), 0);
+  EXPECT_EQ(db.cellY(ic), 0);
+  EXPECT_EQ(db.cellX(ib), 0);
+  EXPECT_EQ(db.cellY(ib), 60);
+  EXPECT_EQ(result.finalHpwl, 0.0);
+  EXPECT_TRUE(checkLegality(db).legal);
+}
+
 }  // namespace
 }  // namespace dreamplace
