@@ -11,7 +11,7 @@
 #include "common/timer.h"
 #include "db/metrics.h"
 #include "dp/independent_set.h"
-#include "dp/net_bbox.h"
+#include "dp/move_nets.h"
 #include "lg/macro_legalizer.h"
 
 // Both DP phases and ISM run serially: each move is evaluated against the
@@ -21,22 +21,6 @@
 namespace dreamplace {
 
 namespace {
-
-/// Union of the nets incident to `cells`, sorted ascending and
-/// deduplicated, written into `out` (no allocation when capacity
-/// suffices).
-void incidentNetsInto(const Database& db, const Index* cells, int count,
-                      std::vector<Index>& out) {
-  out.clear();
-  for (int i = 0; i < count; ++i) {
-    const Index c = cells[i];
-    for (Index s = db.cellPinBegin(c); s < db.cellPinEnd(c); ++s) {
-      out.push_back(db.pinNet(db.cellPinAt(s)));
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-}
 
 /// Row occupancy: cells of each row sorted by x. Fixed cells (pads,
 /// macros) are included as immovable entries so window/swap moves never
@@ -87,14 +71,12 @@ struct RowIndex {
 // ---- Intra-row reordering -------------------------------------------------
 
 struct ReorderScratch {
-  NetBboxEval eval;
+  MoveNets nets;
   std::vector<Index> window;
   std::vector<int> perm;
   std::vector<int> bestPerm;
-  std::vector<Index> nets;
 
-  ReorderScratch(const Database& db, const NetBboxCache& cache, int w)
-      : eval(db, cache), window(w), perm(w), bestPerm(w) {}
+  explicit ReorderScratch(int w) : window(w), perm(w), bestPerm(w) {}
 };
 
 struct WindowEval {
@@ -105,8 +87,9 @@ struct WindowEval {
 
 /// Evaluates one reorder window against the current database state:
 /// exhaustively permutes the w cells, packed from the span start, and
-/// records the best ordering in `s.bestPerm` (net union in `s.nets`,
-/// composition in `s.window`). Read-only.
+/// records the best ordering in `s.bestPerm` (composition in `s.window`).
+/// The window's nets are scanned once; every permutation folds the
+/// window's pins onto their complement boxes. Read-only.
 WindowEval evaluateWindow(const Database& db, const RowIndex& rowIndex,
                           const std::vector<Index>& row, std::size_t start,
                           int w, ReorderScratch& s) {
@@ -135,46 +118,35 @@ WindowEval evaluateWindow(const Database& db, const RowIndex& rowIndex,
   if (out.spanXl + total_w > span_xh) {
     return out;  // no room to repack (should not happen)
   }
-  incidentNetsInto(db, s.window.data(), w, s.nets);
+  s.nets.scan(db, s.window.data(), w);
   out.evaluated = true;
 
   std::iota(s.perm.begin(), s.perm.end(), 0);
-  s.eval.clearOverrides();
-  const double base = s.eval.netsHpwl(s.nets);
+  const double base = s.nets.current();
   double best = base;
   std::copy(s.perm.begin(), s.perm.end(), s.bestPerm.begin());
   const Coord orig_y = db.cellY(s.window[0]);
-  // The override cell set is the window for every permutation — slot k
-  // holds s.window[k] — so after the first refresh each permutation only
-  // re-positions slots (no moved-pin rebuild+sort per candidate).
-  for (int k = 0; k < w; ++k) {
-    s.eval.setOverride(s.window[k], db.cellX(s.window[k]), orig_y);
-  }
   while (std::next_permutation(s.perm.begin(), s.perm.end())) {
     Coord x = out.spanXl;
     for (int k = 0; k < w; ++k) {
-      const Index c = s.window[s.perm[k]];
-      s.eval.updateOverride(s.perm[k], x, orig_y);
-      x += db.cellWidth(c);
+      s.nets.place(s.perm[k], x, orig_y);
+      x += db.cellWidth(s.window[s.perm[k]]);
     }
-    const double cost = s.eval.netsHpwl(s.nets);
+    const double cost = s.nets.placed();
     if (cost < best - 1e-9) {
       best = cost;
       std::copy(s.perm.begin(), s.perm.end(), s.bestPerm.begin());
     }
   }
-  s.eval.clearOverrides();
   out.improved = best < base - 1e-9;
   return out;
 }
 
 /// Applies a winning permutation: moves the w cells to their packed
-/// positions (updating the bbox cache move-by-move so its rescans always
-/// see a database consistent with the cache) and rewrites the row order.
-void commitWindow(Database& db, NetBboxCache& cache, std::vector<Index>& row,
-                  std::size_t start, int w, const std::vector<int>& perm,
-                  Coord span_xl) {
-  Index cells[NetBboxEval::kMaxOverrides];
+/// positions and rewrites the row order.
+void commitWindow(Database& db, std::vector<Index>& row, std::size_t start,
+                  int w, const std::vector<int>& perm, Coord span_xl) {
+  Index cells[DetailedPlacer::kMaxWindowSize];
   for (int k = 0; k < w; ++k) {
     cells[k] = row[start + k];
   }
@@ -182,10 +154,7 @@ void commitWindow(Database& db, NetBboxCache& cache, std::vector<Index>& row,
   Coord x = span_xl;
   for (int k = 0; k < w; ++k) {
     const Index c = cells[perm[k]];
-    const Coord old_x = db.cellX(c);
-    const Coord old_y = db.cellY(c);
     db.setCellPosition(c, x, orig_y);
-    cache.moveCell(db, c, old_x, old_y);
     row[start + k] = c;
     x += db.cellWidth(c);
   }
@@ -194,12 +163,9 @@ void commitWindow(Database& db, NetBboxCache& cache, std::vector<Index>& row,
 // ---- Global swap ----------------------------------------------------------
 
 struct SwapScratch {
-  NetBboxEval eval;
+  MoveNets cellNets;   ///< The swapping cell, scanned once per cell.
+  MoveNets otherNets;  ///< The candidate, scanned once per candidate.
   std::vector<double> lx, hx, ly, hy;
-  std::vector<Index> nets;
-
-  SwapScratch(const Database& db, const NetBboxCache& cache)
-      : eval(db, cache) {}
 };
 
 struct SwapRegion {
@@ -209,8 +175,10 @@ struct SwapRegion {
 };
 
 /// Optimal region of `cell`: median of the bounding boxes of its nets
-/// with the cell itself excluded. skip is set when the cell has no
-/// external pins or already sits in its optimal region.
+/// (one per pin) with the cell itself excluded. Scans the cell's nets
+/// into s.cellNets, whose complement boxes every candidate then reuses.
+/// skip is set when the cell has no external pins or already sits in its
+/// optimal region.
 SwapRegion computeSwapRegion(const Database& db, const RowIndex& rows,
                              Index cell, SwapScratch& s) {
   SwapRegion region;
@@ -218,27 +186,14 @@ SwapRegion computeSwapRegion(const Database& db, const RowIndex& rows,
   s.hx.clear();
   s.ly.clear();
   s.hy.clear();
-  for (Index ps = db.cellPinBegin(cell); ps < db.cellPinEnd(cell); ++ps) {
-    const Index pin = db.cellPinAt(ps);
-    const Index e = db.pinNet(pin);
-    double xl = std::numeric_limits<double>::infinity();
-    double xh = -xl, yl = xl, yh = -xl;
-    bool any = false;
-    for (Index p = db.netPinBegin(e); p < db.netPinEnd(e); ++p) {
-      if (db.pinCell(p) == cell) {
-        continue;
-      }
-      any = true;
-      xl = std::min(xl, db.pinX(p));
-      xh = std::max(xh, db.pinX(p));
-      yl = std::min(yl, db.pinY(p));
-      yh = std::max(yh, db.pinY(p));
-    }
-    if (any) {
-      s.lx.push_back(xl);
-      s.hx.push_back(xh);
-      s.ly.push_back(yl);
-      s.hy.push_back(yh);
+  s.cellNets.scan(db, &cell, 1);
+  for (const std::int32_t i : s.cellNets.pinNets()) {
+    const PinBox& rest = s.cellNets.nets()[i].rest;
+    if (!rest.empty()) {
+      s.lx.push_back(rest.xl);
+      s.hx.push_back(rest.xh);
+      s.ly.push_back(rest.yl);
+      s.hy.push_back(rest.yh);
     }
   }
   if (s.lx.empty()) {
@@ -316,20 +271,6 @@ void enumerateSwapCandidates(const Database& db, const RowIndex& rows,
   }
 }
 
-/// HPWL of the {cell, other} net union before and after exchanging the
-/// two cells' positions (union left in s.nets).
-void evalSwap(const Database& db, Index cell, Index other, SwapScratch& s,
-              double& before, double& after) {
-  const Index pair[2] = {cell, other};
-  incidentNetsInto(db, pair, 2, s.nets);
-  s.eval.clearOverrides();
-  before = s.eval.netsHpwl(s.nets);
-  s.eval.setOverride(cell, db.cellX(other), db.cellY(other));
-  s.eval.setOverride(other, db.cellX(cell), db.cellY(cell));
-  after = s.eval.netsHpwl(s.nets);
-  s.eval.clearOverrides();
-}
-
 }  // namespace
 
 DetailedPlacerResult DetailedPlacer::run(Database& db) const {
@@ -338,19 +279,17 @@ DetailedPlacerResult DetailedPlacer::run(Database& db) const {
   result.initialHpwl = hpwl(db);
 
   const int w = options_.windowSize;
-  DP_ASSERT_MSG(w >= 2 && w <= NetBboxEval::kMaxOverrides,
-                "windowSize must be in [2, %d]", NetBboxEval::kMaxOverrides);
+  DP_ASSERT_MSG(w >= 2 && w <= kMaxWindowSize,
+                "windowSize must be in [2, %d]", kMaxWindowSize);
 
-  NetBboxCache cache;
   RowIndex rows;
-  ReorderScratch rs(db, cache, w);
-  SwapScratch ss(db, cache);
+  ReorderScratch rs(w);
+  SwapScratch ss;
   std::int64_t reorder_windows = 0, swap_candidates = 0;
 
   double pass_start_hpwl = result.initialHpwl;
   for (int pass = 0; pass < options_.passes; ++pass) {
     rows.build(db);
-    cache.build(db);  // ISM (below) moves cells outside the cache's view
 
     // ---- Intra-row local reordering ------------------------------------
     {
@@ -365,7 +304,7 @@ DetailedPlacerResult DetailedPlacer::run(Database& db) const {
           if (!ev.improved) {
             continue;
           }
-          commitWindow(db, cache, row, start, w, rs.bestPerm, ev.spanXl);
+          commitWindow(db, row, start, w, rs.bestPerm, ev.spanXl);
           ++result.reorderMoves;
         }
       }
@@ -387,19 +326,15 @@ DetailedPlacerResult DetailedPlacer::run(Database& db) const {
             db, rows, cell, region.ox, region.targetRow, options_,
             [&](Index other) {
               ++swap_candidates;
-              double before = 0, after = 0;
-              evalSwap(db, cell, other, ss, before, after);
-              if (!(after < before - 1e-9)) {
+              ss.otherNets.scan(db, &other, 1, cell);
+              const SwapCost c = swapCost(db, ss.cellNets, ss.otherNets);
+              if (!(c.after < c.before - 1e-9)) {
                 return false;
               }
               const Coord cx = db.cellX(cell);
               const Coord cy = db.cellY(cell);
-              const Coord ox2 = db.cellX(other);
-              const Coord oy2 = db.cellY(other);
-              db.setCellPosition(cell, ox2, oy2);
-              cache.moveCell(db, cell, cx, cy);
+              db.setCellPosition(cell, db.cellX(other), db.cellY(other));
               db.setCellPosition(other, cx, cy);
-              cache.moveCell(db, other, ox2, oy2);
               // Update row occupancy: the two cells trade slots (which
               // may lie in the same row).
               auto& cell_row = rows.rows[rows.rowOf(db.cellY(other))];
@@ -439,9 +374,6 @@ DetailedPlacerResult DetailedPlacer::run(Database& db) const {
   reg.add("dp/reorder_moves", result.reorderMoves);
   reg.add("dp/swap_moves", result.swapMoves);
   reg.add("dp/ism_moves", result.ismMoves);
-  reg.add("dp/bbox_delta", rs.eval.deltas + ss.eval.deltas);
-  reg.add("dp/bbox_rescan",
-          rs.eval.rescans + ss.eval.rescans + cache.maintenanceRescans);
 
   logInfo("dp: hpwl %.4e -> %.4e (%.2f%%), %ld reorders, %ld swaps, "
           "%ld ism moves",

@@ -4,93 +4,72 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <unordered_set>
 
-#include "common/counters.h"
 #include "common/log.h"
 #include "common/timer.h"
-#include "db/metrics.h"
-#include "dp/net_bbox.h"
+#include "dp/move_nets.h"
 #include "lg/macro_legalizer.h"
 
 namespace dreamplace {
 
-std::vector<int> solveAssignment(
-    const std::vector<std::vector<double>>& cost) {
+const std::vector<int>& AssignmentSolver::solve(
+    const std::vector<double>& cost, int n) {
   // Kuhn-Munkres with potentials (the standard O(n^3) formulation using
   // 1-based auxiliary arrays; row 0 / column 0 are sentinels).
-  const int n = static_cast<int>(cost.size());
-  std::vector<double> u(n + 1, 0.0), v(n + 1, 0.0);
-  std::vector<int> p(n + 1, 0), way(n + 1, 0);
+  constexpr double kInfinity = std::numeric_limits<double>::infinity();
+  u_.assign(n + 1, 0.0);
+  v_.assign(n + 1, 0.0);
+  p_.assign(n + 1, 0);
+  way_.assign(n + 1, 0);
   for (int i = 1; i <= n; ++i) {
-    p[0] = i;
+    p_[0] = i;
     int j0 = 0;
-    std::vector<double> minv(n + 1, std::numeric_limits<double>::infinity());
-    std::vector<char> used(n + 1, 0);
+    minv_.assign(n + 1, kInfinity);
+    used_.assign(n + 1, 0);
     do {
-      used[j0] = 1;
-      const int i0 = p[j0];
-      double delta = std::numeric_limits<double>::infinity();
+      used_[j0] = 1;
+      const int i0 = p_[j0];
+      const double* row = cost.data() + static_cast<std::size_t>(i0 - 1) * n;
+      double delta = kInfinity;
       int j1 = 0;
       for (int j = 1; j <= n; ++j) {
-        if (used[j]) {
+        if (used_[j]) {
           continue;
         }
-        const double cur = cost[i0 - 1][j - 1] - u[i0] - v[j];
-        if (cur < minv[j]) {
-          minv[j] = cur;
-          way[j] = j0;
+        const double cur = row[j - 1] - u_[i0] - v_[j];
+        if (cur < minv_[j]) {
+          minv_[j] = cur;
+          way_[j] = j0;
         }
-        if (minv[j] < delta) {
-          delta = minv[j];
+        if (minv_[j] < delta) {
+          delta = minv_[j];
           j1 = j;
         }
       }
       for (int j = 0; j <= n; ++j) {
-        if (used[j]) {
-          u[p[j]] += delta;
-          v[j] -= delta;
+        if (used_[j]) {
+          u_[p_[j]] += delta;
+          v_[j] -= delta;
         } else {
-          minv[j] -= delta;
+          minv_[j] -= delta;
         }
       }
       j0 = j1;
-    } while (p[j0] != 0);
+    } while (p_[j0] != 0);
     do {
-      const int j1 = way[j0];
-      p[j0] = p[j1];
+      const int j1 = way_[j0];
+      p_[j0] = p_[j1];
       j0 = j1;
     } while (j0);
   }
-  std::vector<int> assignment(n, -1);
+  assignment_.assign(n, -1);
   for (int j = 1; j <= n; ++j) {
-    if (p[j] > 0) {
-      assignment[p[j] - 1] = j - 1;
+    if (p_[j] > 0) {
+      assignment_[p_[j] - 1] = j - 1;
     }
   }
-  return assignment;
+  return assignment_;
 }
-
-namespace {
-
-/// Cost of placing `cell` with lower-left (x, y): sum of its incident
-/// nets' HPWL with the cell moved there and everything else in place.
-/// Deliberately iterates the cell's pins (a net shared by two of the
-/// cell's pins counts twice), matching the original full-scan cost; each
-/// per-net value comes from the bbox cache's exact delta/rescan path.
-/// The caller establishes `cell` as override slot 0 once per matrix row;
-/// updateOverride then skips the moved-pin rebuild per entry.
-double moveCost(const Database& db, NetBboxEval& eval, Index cell, Coord x,
-                Coord y) {
-  eval.updateOverride(0, x, y);
-  double total = 0.0;
-  for (Index s = db.cellPinBegin(cell); s < db.cellPinEnd(cell); ++s) {
-    total += eval.netHpwl(db.pinNet(db.cellPinAt(s)));
-  }
-  return total;
-}
-
-}  // namespace
 
 IsmResult independentSetMatching(Database& db, const IsmOptions& options) {
   ScopedTimer timer("dp/ism");
@@ -106,17 +85,15 @@ IsmResult independentSetMatching(Database& db, const IsmOptions& options) {
     }
   }
 
-  NetBboxCache cache;
-  cache.build(db);
-  NetBboxEval eval(db, cache);
-  const auto flushCounters = [&]() {
-    CounterRegistry& reg = currentCounterRegistry();
-    reg.add("dp/bbox_delta", eval.deltas);
-    reg.add("dp/bbox_rescan", eval.rescans + cache.maintenanceRescans);
-  };
-
-  std::unordered_set<Index> used_nets;
+  DP_ASSERT_MSG(options.maxSetSize >= 2, "ISM maxSetSize must be >= 2");
+  // net_set[e] == set_id marks net e as used by the set being built.
+  std::vector<long> net_set(db.numNets(), -1);
+  long set_id = -1;
   std::vector<Index> set;
+  MoveNets nets;
+  std::vector<double> cost;
+  std::vector<std::pair<Coord, Coord>> slots;
+  AssignmentSolver solver;
   for (auto& [footprint, cells] : by_width) {
     if (static_cast<int>(cells.size()) < 2) {
       continue;
@@ -127,7 +104,7 @@ IsmResult independentSetMatching(Database& db, const IsmOptions& options) {
     size_t cursor = 0;
     while (cursor < cells.size()) {
       set.clear();
-      used_nets.clear();
+      ++set_id;
       for (; cursor < cells.size() &&
              static_cast<int>(set.size()) < options.maxSetSize;
            ++cursor) {
@@ -135,7 +112,7 @@ IsmResult independentSetMatching(Database& db, const IsmOptions& options) {
         bool independent = true;
         for (Index s = db.cellPinBegin(cell);
              s < db.cellPinEnd(cell) && independent; ++s) {
-          independent = !used_nets.count(db.pinNet(db.cellPinAt(s)));
+          independent = net_set[db.pinNet(db.cellPinAt(s))] != set_id;
         }
         if (!independent) {
           continue;  // skipped for this pass (the next pass rescans)
@@ -143,58 +120,54 @@ IsmResult independentSetMatching(Database& db, const IsmOptions& options) {
         set.push_back(cell);
         for (Index s = db.cellPinBegin(cell); s < db.cellPinEnd(cell);
              ++s) {
-          used_nets.insert(db.pinNet(db.cellPinAt(s)));
+          net_set[db.pinNet(db.cellPinAt(s))] = set_id;
         }
       }
       const int k = static_cast<int>(set.size());
       if (k < 2) {
         continue;
       }
-      // Cost matrix: cell i at slot j (= cell j's current position).
-      std::vector<std::vector<double>> cost(k, std::vector<double>(k));
+      // Cost matrix, row-major: cell i at slot j (= cell j's current
+      // position) costs the HPWL of its nets, summed per pin (a net on two
+      // of the cell's pins counts twice). One scan per row.
+      slots.resize(k);
+      for (int j = 0; j < k; ++j) {
+        slots[j] = {db.cellX(set[j]), db.cellY(set[j])};
+      }
+      cost.resize(static_cast<std::size_t>(k) * k);
       for (int i = 0; i < k; ++i) {
-        eval.clearOverrides();
-        eval.setOverride(set[i], db.cellX(set[i]), db.cellY(set[i]));
+        nets.scan(db, &set[i], 1);
         for (int j = 0; j < k; ++j) {
-          cost[i][j] = moveCost(db, eval, set[i], db.cellX(set[j]),
-                                db.cellY(set[j]));
+          nets.place(0, slots[j].first, slots[j].second);
+          cost[i * k + j] = nets.placedPerPin();
         }
       }
       double identity_cost = 0.0;
       for (int i = 0; i < k; ++i) {
-        identity_cost += cost[i][i];
+        identity_cost += cost[i * k + i];
       }
-      const std::vector<int> assignment = solveAssignment(cost);
+      const std::vector<int>& assignment = solver.solve(cost, k);
       double best_cost = 0.0;
       for (int i = 0; i < k; ++i) {
-        best_cost += cost[i][assignment[i]];
+        best_cost += cost[i * k + assignment[i]];
       }
       ++result.setsSolved;
       if (best_cost < identity_cost - 1e-9) {
-        // Apply the permutation, keeping the bbox cache in lockstep so
-        // later sets' cost rows stay exact.
-        std::vector<std::pair<Coord, Coord>> slots(k);
-        for (int j = 0; j < k; ++j) {
-          slots[j] = {db.cellX(set[j]), db.cellY(set[j])};
-        }
         for (int i = 0; i < k; ++i) {
           if (assignment[i] != i) {
             ++result.cellsMoved;
           }
           db.setCellPosition(set[i], slots[assignment[i]].first,
                              slots[assignment[i]].second);
-          cache.moveCell(db, set[i], slots[i].first, slots[i].second);
         }
         result.hpwlGain += identity_cost - best_cost;
       }
       if (options.maxSetsPerPass > 0 &&
           result.setsSolved >= options.maxSetsPerPass) {
-        flushCounters();
         return result;
       }
     }
   }
-  flushCounters();
   return result;
 }
 

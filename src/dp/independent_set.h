@@ -17,7 +17,7 @@
 namespace dreamplace {
 
 struct IsmOptions {
-  int maxSetSize = 24;    ///< Cells per matching problem (O(K^3) solve).
+  int maxSetSize = 24;    ///< Cells per matching problem (O(K^3) solve), >= 2.
   int maxSetsPerPass = 0; ///< 0 => unlimited.
 };
 
@@ -32,9 +32,18 @@ struct IsmResult {
 /// own legal positions).
 IsmResult independentSetMatching(Database& db, const IsmOptions& options);
 
-/// Solves the square assignment problem min sum_i cost[i][perm[i]]
-/// (Hungarian / Kuhn-Munkres, O(n^3)). Returns the optimal column for
-/// each row. Exposed for testing.
-std::vector<int> solveAssignment(const std::vector<std::vector<double>>& cost);
+/// Solves square assignment problems min sum_i cost[i * n + col[i]]
+/// (Hungarian / Kuhn-Munkres, O(n^3)), reusing its scratch across
+/// solves. Exposed for testing.
+class AssignmentSolver {
+ public:
+  /// The optimal column of each row, valid until the next solve.
+  const std::vector<int>& solve(const std::vector<double>& cost, int n);
+
+ private:
+  std::vector<double> u_, v_, minv_;
+  std::vector<int> p_, way_, assignment_;
+  std::vector<char> used_;
+};
 
 }  // namespace dreamplace

@@ -117,7 +117,7 @@ TEST(DeterminismTest, BackendBitIdenticalAcrossThreadCounts) {
   };
   const Outcome t1 = runBackend(1);
   EXPECT_GT(t1.counters.count("lg/segments_tried"), 0u);
-  EXPECT_GT(t1.counters.count("dp/bbox_delta"), 0u);
+  EXPECT_GT(t1.counters.count("dp/reorder_windows"), 0u);
   for (const int threads : {2, 4}) {
     const Outcome t = runBackend(threads);
     EXPECT_EQ(t1.hpwl, t.hpwl) << threads << " threads";

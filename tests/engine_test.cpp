@@ -113,7 +113,7 @@ TEST(EngineTest, OrderDependentCounterFilter) {
   EXPECT_FALSE(isOrderDependentCounter("fft/plan/create"));
   EXPECT_FALSE(isOrderDependentCounter("ops/wirelength/evaluate"));
   // The LG/DP back-end is serial, so its counters are thread-invariant.
-  EXPECT_FALSE(isOrderDependentCounter("dp/bbox_delta"));
+  EXPECT_FALSE(isOrderDependentCounter("dp/reorder_windows"));
 
   const std::map<std::string, CounterRegistry::Value> mixed = {
       {"fft/dct2d", 10},

@@ -11,34 +11,37 @@ namespace {
 
 TEST(HungarianTest, SolvesKnownInstances) {
   // Classic 3x3 with unique optimum: assignment (0->1, 1->0, 2->2), cost 5.
-  std::vector<std::vector<double>> cost{{4, 1, 3}, {2, 0, 5}, {3, 2, 2}};
-  const auto a = solveAssignment(cost);
+  const std::vector<double> cost{4, 1, 3, 2, 0, 5, 3, 2, 2};
+  AssignmentSolver solver;
+  const auto a = solver.solve(cost, 3);
   double total = 0;
   for (int i = 0; i < 3; ++i) {
-    total += cost[i][a[i]];
+    total += cost[i * 3 + a[i]];
   }
   EXPECT_DOUBLE_EQ(total, 5.0);
 }
 
 TEST(HungarianTest, IdentityWhenDiagonalDominant) {
-  std::vector<std::vector<double>> cost{{0, 9, 9}, {9, 0, 9}, {9, 9, 0}};
-  const auto a = solveAssignment(cost);
+  const std::vector<double> cost{0, 9, 9, 9, 0, 9, 9, 9, 0};
+  AssignmentSolver solver;
+  const auto a = solver.solve(cost, 3);
   EXPECT_EQ(a[0], 0);
   EXPECT_EQ(a[1], 1);
   EXPECT_EQ(a[2], 2);
 }
 
 TEST(HungarianTest, OptimalOnRandomInstancesVsBruteForce) {
+  // One solver across all trials: its reused scratch must not leak from
+  // one size into the next.
   Rng rng(17);
+  AssignmentSolver solver;
   for (int trial = 0; trial < 20; ++trial) {
     const int n = 2 + static_cast<int>(rng.uniformInt(4));  // 2..5
-    std::vector<std::vector<double>> cost(n, std::vector<double>(n));
-    for (auto& row : cost) {
-      for (double& c : row) {
-        c = rng.uniform(0, 10);
-      }
+    std::vector<double> cost(n * n);
+    for (double& c : cost) {
+      c = rng.uniform(0, 10);
     }
-    const auto a = solveAssignment(cost);
+    const auto a = solver.solve(cost, n);
     double hungarian = 0;
     std::vector<char> seen(n, 0);
     for (int i = 0; i < n; ++i) {
@@ -46,7 +49,7 @@ TEST(HungarianTest, OptimalOnRandomInstancesVsBruteForce) {
       ASSERT_LT(a[i], n);
       ASSERT_FALSE(seen[a[i]]) << "not a permutation";
       seen[a[i]] = 1;
-      hungarian += cost[i][a[i]];
+      hungarian += cost[i * n + a[i]];
     }
     // Brute force.
     std::vector<int> perm(n);
@@ -57,7 +60,7 @@ TEST(HungarianTest, OptimalOnRandomInstancesVsBruteForce) {
     do {
       double total = 0;
       for (int i = 0; i < n; ++i) {
-        total += cost[i][perm[i]];
+        total += cost[i * n + perm[i]];
       }
       best = std::min(best, total);
     } while (std::next_permutation(perm.begin(), perm.end()));
