@@ -1,5 +1,6 @@
 #include "place/placer.h"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -128,6 +129,33 @@ void PlacerOptions::validate() const {
   if (gp.lrDecay <= 0.0 || gp.lrDecay > 1.0) {
     fail("gp.lrDecay must be in (0, 1] (got " + std::to_string(gp.lrDecay) +
          "); it multiplies the learning rate each iteration");
+  }
+  if (dp.windowSize < 2 || dp.windowSize > DetailedPlacer::kMaxWindowSize) {
+    fail("dp.windowSize must be in [2, " +
+         std::to_string(DetailedPlacer::kMaxWindowSize) + "] (got " +
+         std::to_string(dp.windowSize) + "); a window of w cells tries w! "
+         "orderings");
+  }
+  if (dp.ismSetSize < 2) {
+    fail("dp.ismSetSize must be >= 2 (got " + std::to_string(dp.ismSetSize) +
+         "); ISM permutes sets of at least two cells");
+  }
+  if (dp.passes < 0) {
+    fail("dp.passes must be >= 0 (got " + std::to_string(dp.passes) + ")");
+  }
+  if (dp.maxCandidates < 0) {
+    fail("dp.maxCandidates must be >= 0 (got " +
+         std::to_string(dp.maxCandidates) + ")");
+  }
+  if (!(dp.swapRadiusRows >= 0.0)) {
+    fail("dp.swapRadiusRows must be >= 0 (got " +
+         std::to_string(dp.swapRadiusRows) + ")");
+  }
+  if (!std::isfinite(dp.convergenceTolerance) ||
+      dp.convergenceTolerance < 0.0) {
+    fail("dp.convergenceTolerance must be finite and >= 0 (got " +
+         std::to_string(dp.convergenceTolerance) + "); 0 always runs every "
+         "pass");
   }
   if (gp.fences.empty() && !gp.cellFence.empty()) {
     fail("gp.cellFence assigns cells to fence regions but gp.fences is "

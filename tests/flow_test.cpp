@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
 
 #include "db/metrics.h"
 #include "gen/netlist_generator.h"
@@ -196,6 +197,58 @@ TEST(PlacerOptionsValidateTest, RejectsBadGpKnobs) {
   options = PlacerOptions();
   options.gp.noiseRatio = -0.1;
   expectValidateFails(options, "noiseRatio");
+}
+
+TEST(PlacerOptionsValidateTest, RejectsBadDpKnobs) {
+  // Each of these once hung placeDesign (ismSetSize 0: the ISM set
+  // builder never advanced) or aborted it (windowSize 1).
+  PlacerOptions options;
+  options.dp.windowSize = 1;
+  expectValidateFails(options, "dp.windowSize");
+
+  options = PlacerOptions();
+  options.dp.windowSize = 9;
+  expectValidateFails(options, "dp.windowSize");
+
+  options = PlacerOptions();
+  options.dp.ismSetSize = 0;
+  expectValidateFails(options, "dp.ismSetSize");
+
+  options = PlacerOptions();
+  options.dp.ismSetSize = 1;
+  expectValidateFails(options, "dp.ismSetSize");
+
+  options = PlacerOptions();
+  options.dp.passes = -1;
+  expectValidateFails(options, "dp.passes");
+
+  options = PlacerOptions();
+  options.dp.maxCandidates = -1;
+  expectValidateFails(options, "dp.maxCandidates");
+
+  options = PlacerOptions();
+  options.dp.swapRadiusRows = -1;
+  expectValidateFails(options, "dp.swapRadiusRows");
+
+  options = PlacerOptions();
+  options.dp.convergenceTolerance = -0.1;
+  expectValidateFails(options, "dp.convergenceTolerance");
+
+  options = PlacerOptions();
+  options.dp.convergenceTolerance = std::numeric_limits<double>::infinity();
+  expectValidateFails(options, "dp.convergenceTolerance");
+
+  options = PlacerOptions();
+  options.dp.windowSize = DetailedPlacer::kMaxWindowSize;
+  options.dp.ismSetSize = 2;
+  options.dp.passes = 0;
+  EXPECT_NO_THROW(options.validate());
+
+  // placeDesign validates before it places anything.
+  auto db = flowDesign(5, 200);
+  options = PlacerOptions();
+  options.dp.ismSetSize = 0;
+  EXPECT_THROW(placeDesign(*db, options), std::invalid_argument);
 }
 
 TEST(PlacerOptionsValidateTest, RejectsBadSolverLearningRate) {
