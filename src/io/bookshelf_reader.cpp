@@ -256,7 +256,10 @@ AuxFiles parseAux(const std::string& auxPath) {
   return files;
 }
 
-void parseNodes(const std::string& path, Database& db, NameMap& byName) {
+/// Adds the .nodes cells to `db`, their names to `byName` and, per cell,
+/// whether it is a terminal (fixed) to `fixed`.
+void parseNodes(const std::string& path, Database& db, NameMap& byName,
+                std::vector<char>& fixed) {
   LineReader reader(path);
   HeaderCount num_nodes{"NumNodes"};
   HeaderCount num_terminals{"NumTerminals"};
@@ -289,6 +292,7 @@ void parseNodes(const std::string& path, Database& db, NameMap& byName) {
       reader.fail("node name", "duplicate cell name '" + it->first + "'");
     }
     db.addCell(it->first, width, height, !terminal);
+    fixed.push_back(terminal ? 1 : 0);
     ++nodes;
     terminals += terminal ? 1 : 0;
   }
@@ -385,10 +389,13 @@ void parseWts(const std::string& path, Database&) {
 }
 
 /// Sets the position of each cell a .pl line names; `find` maps a name to
-/// its index or kInvalidIndex.
+/// its index or kInvalidIndex. A cell named twice throws, and so does
+/// every cell with `required[cell]` set that no line names.
 template <typename Find>
-void readPositions(const std::string& path, Database& db, Find find) {
+void readPositions(const std::string& path, Database& db, Find find,
+                   const std::vector<char>& required = {}) {
   LineReader reader(path);
+  std::vector<int> placed_on(db.numCells(), 0);
   while (reader.next()) {
     const auto& tokens = reader.tokens();
     if (tokens.size() < 3) {
@@ -399,8 +406,21 @@ void readPositions(const std::string& path, Database& db, Find find) {
       reader.fail("cell name",
                   "unknown cell in .pl: " + std::string(tokens[0]));
     }
+    if (placed_on[cell] != 0) {
+      reader.fail("cell name", "cell '" + std::string(tokens[0]) +
+                                   "' placed again (first on line " +
+                                   std::to_string(placed_on[cell]) + ")");
+    }
+    placed_on[cell] = reader.line();
     db.setCellPosition(cell, reader.number(tokens[1], "x"),
                        reader.number(tokens[2], "y"));
+  }
+  for (std::size_t i = 0; i < required.size(); ++i) {
+    if (required[i] && placed_on[i] == 0) {
+      reader.fail("cell name",
+                  "the file ends before fixed cell '" +
+                      db.cellName(static_cast<Index>(i)) + "' is placed");
+    }
   }
 }
 
@@ -510,7 +530,8 @@ std::unique_ptr<Database> readBookshelf(const std::string& auxPath) {
   const AuxFiles files = parseAux(auxPath);
   auto db = std::make_unique<Database>();
   NameMap byName;
-  parseNodes(files.nodes, *db, byName);
+  std::vector<char> fixed;
+  parseNodes(files.nodes, *db, byName, fixed);
   parseNets(files.nets, *db, byName);
   if (!files.wts.empty()) {
     parseWts(files.wts, *db);
@@ -518,10 +539,13 @@ std::unique_ptr<Database> readBookshelf(const std::string& auxPath) {
   parseScl(files.scl, *db);
   // Movable-first reordering in finalize() invalidates byName's indices,
   // so positions are set before it.
-  readPositions(files.pl, *db, [&byName](std::string_view name) {
-    const auto it = byName.find(name);
-    return it == byName.end() ? kInvalidIndex : it->second;
-  });
+  readPositions(
+      files.pl, *db,
+      [&byName](std::string_view name) {
+        const auto it = byName.find(name);
+        return it == byName.end() ? kInvalidIndex : it->second;
+      },
+      fixed);
   db->finalize();
   logInfo("bookshelf: loaded %d cells (%d movable), %d nets, %d pins",
           db->numCells(), db->numMovable(), db->numNets(), db->numPins());

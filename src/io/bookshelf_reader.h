@@ -27,6 +27,11 @@ namespace dreamplace {
 /// naming the line and the field `node name`. A .nodes file with no node
 /// throws.
 ///
+/// The .pl must place every terminal (fixed cell), and may name each cell
+/// only once; a repeated line, or a file that ends before every terminal
+/// is placed, throws naming the line and the field `cell name`. Movable
+/// cells the .pl does not name stay at (0, 0).
+///
 /// In the .scl, Sitespacing is the site pitch and Sitewidth the width of
 /// one site; a row with only one of the two uses it as the pitch, in
 /// whichever order the lines come. Sitewidth greater than Sitespacing
@@ -41,9 +46,9 @@ namespace dreamplace {
 std::unique_ptr<Database> readBookshelf(const std::string& auxPath);
 
 /// Loads a .pl placement result onto an existing database (e.g. to
-/// evaluate a solution produced by another tool). Unknown cell names and
-/// bad numbers throw as in readBookshelf; cells absent from the file keep
-/// their positions.
+/// evaluate a solution produced by another tool). Unknown cell names,
+/// repeated lines and bad numbers throw as in readBookshelf; cells absent
+/// from the file keep their positions.
 void readPlacement(Database& db, const std::string& plPath);
 
 }  // namespace dreamplace

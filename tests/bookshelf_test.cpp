@@ -429,7 +429,9 @@ TEST(ParseFiniteTest, PinsTheNumberSyntax) {
 TEST_F(BookshelfTest, TruncatedFilesLoadOrThrowNamingTheFile) {
   // Every cut of a file, at a line boundary or inside a token, either
   // loads or throws std::runtime_error naming that file: the reader never
-  // reads past the end of its buffer and never blames another file.
+  // reads past the end of its buffer and never blames another file. A
+  // .pl cut at a line boundary must throw: the writer emits movable cells
+  // first, so every such cut drops a terminal.
   writeBookshelf(*generateNetlist(mutatedDesignConfig()), dir_.string(),
                  "mut");
   const std::string aux = (dir_ / "mut.aux").string();
@@ -441,6 +443,7 @@ TEST_F(BookshelfTest, TruncatedFilesLoadOrThrowNamingTheFile) {
       text.assign(std::istreambuf_iterator<char>(in), {});
     }
     std::vector<std::size_t> cuts = {0};
+    std::vector<char> at_line = {1};  // per cut: at a line boundary
     std::size_t line_start = 0;
     while (line_start < text.size()) {
       const std::size_t eol =
@@ -454,15 +457,20 @@ TEST_F(BookshelfTest, TruncatedFilesLoadOrThrowNamingTheFile) {
             blank == std::string_view::npos ? 0 : blank + 1;
         if (last > begin) {
           cuts.push_back(line_start + begin + (last - begin + 1) / 2);
+          at_line.push_back(0);
         }
       }
       line_start = eol + 1;
       cuts.push_back(std::min(line_start, text.size()));
+      at_line.push_back(1);
     }
-    for (const std::size_t cut : cuts) {
+    for (std::size_t i = 0; i < cuts.size(); ++i) {
+      const std::size_t cut = cuts[i];
       std::ofstream(path, std::ios::binary) << text.substr(0, cut);
       try {
         readBookshelf(aux);
+        EXPECT_FALSE(ext == "pl" && at_line[i] && cut < text.size())
+            << "mut.pl cut at byte " << cut << " loaded";
       } catch (const std::runtime_error& e) {
         const std::string what = e.what();
         EXPECT_NE(what.find("mut." + ext), std::string::npos)
@@ -474,6 +482,60 @@ TEST_F(BookshelfTest, TruncatedFilesLoadOrThrowNamingTheFile) {
     }
     std::ofstream(path, std::ios::binary) << text;
   }
+}
+
+TEST_F(BookshelfTest, PlMustPlaceEachFixedCellOnce) {
+  const auto fixedLine = [](const std::vector<std::string>& lines) {
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      if (contains(lines[i], "/FIXED")) {
+        return i;
+      }
+    }
+    ADD_FAILURE() << "no fixed cell in the .pl";
+    return std::size_t(0);
+  };
+  {
+    SCOPED_TRACE("a terminal's line deleted");
+    expectReadFails(writeEdited(dir_, "pl",
+                                [&](std::vector<std::string>& lines) {
+                                  lines.erase(lines.begin() +
+                                              fixedLine(lines));
+                                }),
+                    "pl", "cell name");
+  }
+  {
+    SCOPED_TRACE("a terminal's line repeated");
+    expectReadFails(writeEdited(dir_, "pl",
+                                [&](std::vector<std::string>& lines) {
+                                  lines.push_back(lines[fixedLine(lines)]);
+                                }),
+                    "pl", "cell name");
+  }
+  {
+    SCOPED_TRACE("a movable cell's line repeated");
+    expectReadFails(writeEdited(dir_, "pl",
+                                [](std::vector<std::string>& lines) {
+                                  for (const std::string& line : lines) {
+                                    if (contains(line, " : N") &&
+                                        !contains(line, "/FIXED")) {
+                                      lines.push_back(line);
+                                      return;
+                                    }
+                                  }
+                                }),
+                    "pl", "cell name");
+  }
+  // A movable cell the .pl does not name keeps its default position.
+  const std::string aux =
+      writeEdited(dir_, "pl", [](std::vector<std::string>& lines) {
+        for (std::size_t i = 0; i < lines.size(); ++i) {
+          if (contains(lines[i], " : N") && !contains(lines[i], "/FIXED")) {
+            lines.erase(lines.begin() + i);
+            return;
+          }
+        }
+      });
+  EXPECT_NO_THROW(readBookshelf(aux));
 }
 
 TEST_F(BookshelfTest, HeaderCountsMustMatchTheFile) {
