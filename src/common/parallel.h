@@ -15,8 +15,7 @@
 //  * Control. Thread count comes from PlacerOptions::threads or the
 //    DREAMPLACE_THREADS environment variable (default: hardware
 //    concurrency); 1 means strictly serial inline execution with zero
-//    thread machinery. Future backends (task graphs, SIMD tiles,
-//    distributed shards) swap in behind the same three helpers.
+//    thread machinery.
 //
 // Scheduling model: a job splits [0, n) into ceil(n/grain) blocks; the
 // caller and the pool workers claim blocks dynamically from a shared
