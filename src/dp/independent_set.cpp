@@ -72,6 +72,7 @@ const std::vector<int>& AssignmentSolver::solve(
 }
 
 IsmResult independentSetMatching(Database& db, const IsmOptions& options) {
+  DP_ASSERT_MSG(options.maxSetSize >= 2, "ISM maxSetSize must be >= 2");
   ScopedTimer timer("dp/ism");
   IsmResult result;
 
@@ -85,7 +86,6 @@ IsmResult independentSetMatching(Database& db, const IsmOptions& options) {
     }
   }
 
-  DP_ASSERT_MSG(options.maxSetSize >= 2, "ISM maxSetSize must be >= 2");
   // net_set[e] == set_id marks net e as used by the set being built.
   std::vector<long> net_set(db.numNets(), -1);
   long set_id = -1;
