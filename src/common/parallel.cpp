@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <string>
+#include <unordered_map>
 
 #include "common/counters.h"
 #include "common/flow_context.h"
@@ -33,6 +35,27 @@ int resolveThreadCount(int requested) {
 /// and degrade to serial inline execution instead of deadlocking.
 thread_local bool tl_in_pool_task = false;
 
+/// Counter keys of one job label: `parallel/jobs/<label>` and
+/// `parallel/inline/<label>`.
+struct LabelKeys {
+  std::string jobs;
+  std::string inlined;
+};
+
+/// Labels are string literals, so each thread builds a label's keys once
+/// and finds them by address afterwards: no allocation per job.
+const LabelKeys& labelKeys(const char* label) {
+  thread_local std::unordered_map<const char*, LabelKeys> cache;
+  auto it = cache.find(label);
+  if (it == cache.end()) {
+    it = cache
+             .emplace(label, LabelKeys{std::string("parallel/jobs/") + label,
+                                       std::string("parallel/inline/") + label})
+             .first;
+  }
+  return it->second;
+}
+
 std::int64_t elapsedMicros(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now() - start)
@@ -55,6 +78,9 @@ struct ThreadPool::Job {
   std::atomic<Index> next{0};       ///< Shared claim cursor.
   std::atomic<Index> completed{0};  ///< Tasks fully executed.
   int active = 0;  ///< Participants inside participate(); job_mutex_.
+  /// Workers that may still join (job width - 1); job_mutex_. A worker
+  /// that wakes to find no seat left sits the job out.
+  int seats = 0;
 };
 
 ThreadPool& ThreadPool::instance() {
@@ -145,8 +171,10 @@ void ThreadPool::workerMain(int worker) {
     seen_generation = job_generation_;
     Job* job = current_job_;
     // The job may already be finished and retired (all tasks were claimed
-    // before this worker woke); nothing to do for this generation.
-    if (job == nullptr) continue;
+    // before this worker woke), or narrowed to fewer workers than woke;
+    // either way there is nothing to do for this generation.
+    if (job == nullptr || job->seats == 0) continue;
+    --job->seats;
     ++job->active;
     lock.unlock();
     {
@@ -197,10 +225,14 @@ void ThreadPool::run(const char* label, Index numTasks,
   static Counter tasks("parallel/tasks");
   jobs.add();
   tasks.add(numTasks);
+  CounterRegistry& counters = currentCounterRegistry();
+  const LabelKeys& keys = labelKeys(label);
+  counters.add(keys.jobs);
   const int num_threads = threads();
   const auto start = std::chrono::steady_clock::now();
   const auto run_inline = [&] {
     // Strictly serial inline execution: no pool, no synchronization.
+    counters.add(keys.inlined);
     for (Index task = 0; task < numTasks; ++task) fn(task, 0);
     const std::int64_t wall = elapsedMicros(start);
     busy_us_.fetch_add(wall, std::memory_order_relaxed);
@@ -209,6 +241,18 @@ void ThreadPool::run(const char* label, Index numTasks,
   if (num_threads <= 1 || numTasks <= 1 || tl_in_pool_task) {
     run_inline();
     return;
+  }
+  // Busy engine lanes keep a core each; the job gets what is left.
+  static const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  const int width = std::clamp(
+      std::max(hw, num_threads) - (busy_lanes_.load() - 1), 1, num_threads);
+  if (width < num_threads) {
+    static Counter narrowed("parallel/narrowed");
+    narrowed.add();
+    if (width == 1) {
+      run_inline();
+      return;
+    }
   }
   // Single job slot: when another flow's job already occupies the pool,
   // run this job inline on the calling thread. The deterministic block
@@ -232,12 +276,17 @@ void ThreadPool::run(const char* label, Index numTasks,
   job.numTasks = numTasks;
   job.context = &FlowContext::current();
   job.active = 1;  // The caller participates as worker 0.
+  job.seats = width - 1;
   {
     std::lock_guard<std::mutex> lock(job_mutex_);
     current_job_ = &job;
     ++job_generation_;
   }
-  job_cv_.notify_all();
+  if (width == num_threads) {
+    job_cv_.notify_all();
+  } else {
+    for (int seat = 1; seat < width; ++seat) job_cv_.notify_one();
+  }
   participate(job, 0);
   {
     std::unique_lock<std::mutex> lock(job_mutex_);
@@ -250,7 +299,7 @@ void ThreadPool::run(const char* label, Index numTasks,
     // nullptr instead of a dangling stack pointer.
     current_job_ = nullptr;
   }
-  capacity_us_.fetch_add(elapsedMicros(start) * num_threads,
+  capacity_us_.fetch_add(elapsedMicros(start) * width,
                          std::memory_order_relaxed);
 }
 

@@ -9,9 +9,11 @@
 //    runs with 1, 2, or 64 threads, which is what lets the count-based
 //    regression gate and the determinism test suite pin flow results.
 //  * Observability. Jobs and tasks are counted (`parallel/jobs`,
-//    `parallel/tasks`, `parallel/steals`), each worker emits its own
-//    chrome-trace lane when recording is on, and busy/capacity time is
-//    accumulated so the run report can state pool utilization.
+//    `parallel/tasks`, `parallel/steals`, and per job label
+//    `parallel/jobs/<label>` / `parallel/inline/<label>`), each worker
+//    emits its own chrome-trace lane when recording is on, and
+//    busy/capacity time is accumulated so the run report can state pool
+//    utilization.
 //  * Control. Thread count comes from PlacerOptions::threads or the
 //    DREAMPLACE_THREADS environment variable (default: hardware
 //    concurrency); 1 means strictly serial inline execution with zero
@@ -23,6 +25,9 @@
 // costs such as sorted-by-area density scatter). Dynamic claiming is safe
 // for determinism because *which thread* runs a block never influences
 // the result — blocks write disjoint state or produce ordered partials.
+// For the same reason a job may run on fewer workers than the pool has:
+// while several engine lanes are busy, each job is sized to the cores the
+// other lanes leave free (ThreadPool::LaneScope).
 //
 // Grain-size guidance (see docs/PARALLEL.md): pick a grain so one block
 // costs ~10µs or more. Elementwise loops over cells/pins: 1024–8192.
@@ -54,7 +59,9 @@ class FlowContext;
 /// one bounded worker set. A pool accepts run() from several threads at
 /// once: one caller's job occupies the workers, the others execute their
 /// tasks inline on the calling thread (the determinism contract makes
-/// the result identical either way — only wall time differs). Workers
+/// the result identical either way — only wall time differs). While
+/// engine lanes are busy (LaneScope), a job wakes only as many workers as
+/// the cores those lanes leave free, and runs inline when none are. Workers
 /// adopt the submitting flow's FlowContext for the duration of a job, so
 /// per-flow counters/timers/traces attribute correctly from inside
 /// kernels.
@@ -62,6 +69,23 @@ class ThreadPool {
  public:
   ThreadPool() = default;
   static ThreadPool& instance();
+
+  /// Marks one busy engine lane for its lifetime; PlacementEngine holds
+  /// one around each job. With `busy` lanes marked, run() gives a job
+  ///   width = clamp(max(hw, threads()) - (busy - 1), 1, threads())
+  /// participants, hw being std::thread::hardware_concurrency(): the
+  /// other busy lanes each keep a core. Outside an engine, or with one
+  /// lane, width == threads().
+  class LaneScope {
+   public:
+    explicit LaneScope(ThreadPool& pool) : pool_(pool) { ++pool_.busy_lanes_; }
+    ~LaneScope() { --pool_.busy_lanes_; }
+    LaneScope(const LaneScope&) = delete;
+    LaneScope& operator=(const LaneScope&) = delete;
+
+   private:
+    ThreadPool& pool_;
+  };
 
   /// Requests a pool size: n >= 1 forces n, 0 re-resolves from
   /// DREAMPLACE_THREADS / hardware concurrency. If the resolved size
@@ -77,14 +101,16 @@ class ThreadPool {
   /// Runs `numTasks` tasks, calling fn(taskIndex, workerIndex) for each
   /// task exactly once. workerIndex is in [0, threads()); the calling
   /// thread participates as worker 0. Serial inline when threads() == 1,
-  /// numTasks <= 1, or when called from inside a pool task (nested
-  /// parallelism degrades to serial rather than deadlocking).
+  /// numTasks <= 1, when called from inside a pool task (nested
+  /// parallelism degrades to serial rather than deadlocking), when busy
+  /// lanes narrow the job to width 1, or when another caller's job holds
+  /// the workers.
   void run(const char* label, Index numTasks,
            const std::function<void(Index, int)>& fn);
 
   /// Cumulative worker-busy microseconds across all jobs.
   std::int64_t busyMicros() const;
-  /// Cumulative capacity: job wall time times pool size, summed.
+  /// Cumulative capacity: job wall time times job width, summed.
   std::int64_t capacityMicros() const;
   /// busyMicros / capacityMicros in [0, 1]; 0 before any job ran.
   double utilization() const;
@@ -109,6 +135,8 @@ class ThreadPool {
   /// Single job slot: true while a pooled job is in flight. A second
   /// concurrent run() caller falls back to inline-serial execution.
   std::atomic<bool> job_inflight_{false};
+  /// Engine lanes currently running a job (LaneScope).
+  std::atomic<int> busy_lanes_{0};
 
   std::mutex job_mutex_;
   std::condition_variable job_cv_;

@@ -390,7 +390,9 @@ void parseWts(const std::string& path, Database&) {
 
 /// Sets the position of each cell a .pl line names; `find` maps a name to
 /// its index or kInvalidIndex. A cell named twice throws, and so does
-/// every cell with `required[cell]` set that no line names.
+/// every cell with `required[cell]` set that no line names. When
+/// `required` is given, the other cells no line names (movable ones) keep
+/// their default position, and one warning counts them.
 template <typename Find>
 void readPositions(const std::string& path, Database& db, Find find,
                    const std::vector<char>& required = {}) {
@@ -415,12 +417,26 @@ void readPositions(const std::string& path, Database& db, Find find,
     db.setCellPosition(cell, reader.number(tokens[1], "x"),
                        reader.number(tokens[2], "y"));
   }
+  std::size_t unplaced = 0;
+  std::size_t first_unplaced = 0;
   for (std::size_t i = 0; i < required.size(); ++i) {
-    if (required[i] && placed_on[i] == 0) {
+    if (placed_on[i] != 0) {
+      continue;
+    }
+    if (required[i]) {
       reader.fail("cell name",
                   "the file ends before fixed cell '" +
                       db.cellName(static_cast<Index>(i)) + "' is placed");
     }
+    if (unplaced++ == 0) {
+      first_unplaced = i;
+    }
+  }
+  if (unplaced > 0) {
+    logWarn("bookshelf: %s: movable cells not placed: %zu (first: '%s'); "
+            "they keep their default position",
+            path.c_str(), unplaced,
+            db.cellName(static_cast<Index>(first_unplaced)).c_str());
   }
 }
 

@@ -1,7 +1,9 @@
 #include "place/checkpoint.h"
 
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -12,6 +14,29 @@
 namespace dreamplace {
 
 namespace {
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), the zlib/PNG
+/// checksum. It detects every single-bit flip and every burst of up to
+/// 32 bits.
+std::uint32_t crc32(const char* data, std::size_t size) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t crc = 0xFFFFFFFFU;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc = table[(crc ^ static_cast<unsigned char>(data[i])) & 0xFFU] ^
+          (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFU;
+}
 
 void encodeFlowResult(ByteWriter& w, const FlowResult& r) {
   w.f64(r.hpwlGp);
@@ -72,6 +97,7 @@ std::string encodeCheckpoint(const CheckpointData& data) {
     w.str(key);
     w.i64(value);
   }
+  w.u32(crc32(w.data().data(), w.data().size()));
   return w.take();
 }
 
@@ -85,6 +111,15 @@ CheckpointData decodeCheckpoint(const std::string& bytes) {
     throw std::runtime_error("checkpoint: unsupported version " +
                              std::to_string(version) + " (this build reads " +
                              std::to_string(CheckpointData::kVersion) + ")");
+  }
+  // The last four bytes hold the CRC-32 of every byte before them (the
+  // header just read guarantees there are at least four).
+  constexpr std::size_t kCrcBytes = sizeof(std::uint32_t);
+  const std::size_t body = bytes.size() - kCrcBytes;
+  std::uint32_t stored = 0;
+  std::memcpy(&stored, bytes.data() + body, kCrcBytes);
+  if (stored != crc32(bytes.data(), body)) {
+    throw std::runtime_error("checkpoint: checksum mismatch");
   }
   CheckpointData data;
   data.precision = r.u8();
@@ -111,7 +146,7 @@ CheckpointData decodeCheckpoint(const std::string& bytes) {
     const std::int64_t value = r.i64();
     data.counters.emplace_back(std::move(key), value);
   }
-  if (!r.atEnd()) {
+  if (r.remaining() != kCrcBytes) {
     throw std::runtime_error("checkpoint: trailing bytes after document");
   }
   return data;

@@ -24,7 +24,8 @@ namespace dreamplace {
 
 struct CheckpointData {
   static constexpr std::uint32_t kMagic = 0x4B435044;  // "DPCK" (LE)
-  static constexpr std::uint32_t kVersion = 1;
+  /// 2: the document ends in a CRC-32 of every byte before it.
+  static constexpr std::uint32_t kVersion = 2;
 
   std::uint8_t precision = 1;  ///< 0 = float32, 1 = float64.
   /// '|'-joined stage names of the producing pipeline; a resume rejects a
@@ -47,7 +48,8 @@ struct CheckpointData {
 
 std::string encodeCheckpoint(const CheckpointData& data);
 /// Throws std::runtime_error on a truncated / corrupt / wrong-version
-/// document.
+/// document; any change to a byte after the version fails the CRC-32
+/// ("checkpoint: checksum mismatch").
 CheckpointData decodeCheckpoint(const std::string& bytes);
 
 /// Atomic write: writes `path`.tmp, then renames it over `path`. Returns

@@ -85,9 +85,13 @@ bool isOrderDependentCounter(std::string_view key) {
     return true;
   }
   // Pool scheduling: who started the workers, how blocks were claimed,
-  // whether a second run() caller hit the occupied job slot.
+  // whether a second run() caller hit the occupied job slot, how many
+  // sibling lanes were busy, and so which jobs ran inline.
+  if (key.substr(0, 16) == "parallel/inline/") {
+    return true;
+  }
   return key == "parallel/steals" || key == "parallel/pool_start" ||
-         key == "parallel/contended";
+         key == "parallel/contended" || key == "parallel/narrowed";
 }
 
 std::map<std::string, CounterRegistry::Value> deterministicCounters(
@@ -522,13 +526,16 @@ BatchReport PlacementEngine::run(std::vector<PlacementJob> jobs) {
   // Each lane pulls the next unstarted job and runs it on the lane
   // thread. A flow owns all of its transform state (plans, scratch), so
   // nothing a job computes depends on which lane ran it or what that
-  // lane ran before (docs/ENGINE.md).
+  // lane ran before (docs/ENGINE.md). A running job marks its lane busy,
+  // so the pool sizes each fork-join to the cores the other lanes leave
+  // free.
   const auto lane = [&]() {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= jobs.size()) {
         break;
       }
+      ThreadPool::LaneScope busy(*pool_);
       batch.jobs[i] = runJob(jobs[i]);
     }
   };

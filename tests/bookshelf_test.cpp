@@ -12,6 +12,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/log.h"
 #include "common/parse.h"
 #include "db/metrics.h"
 #include "gen/netlist_generator.h"
@@ -525,17 +526,30 @@ TEST_F(BookshelfTest, PlMustPlaceEachFixedCellOnce) {
                                 }),
                     "pl", "cell name");
   }
-  // A movable cell the .pl does not name keeps its default position.
+  // A movable cell the .pl does not name keeps its default position, and
+  // one warning names the file, the count and the cell.
+  std::string omitted;
   const std::string aux =
-      writeEdited(dir_, "pl", [](std::vector<std::string>& lines) {
+      writeEdited(dir_, "pl", [&omitted](std::vector<std::string>& lines) {
         for (std::size_t i = 0; i < lines.size(); ++i) {
           if (contains(lines[i], " : N") && !contains(lines[i], "/FIXED")) {
+            omitted = lines[i].substr(0, lines[i].find_first_of(" \t"));
             lines.erase(lines.begin() + i);
             return;
           }
         }
       });
+  ASSERT_FALSE(omitted.empty());
+  const LogLevel saved = logLevel();
+  setLogLevel(LogLevel::kWarn);
+  testing::internal::CaptureStderr();
   EXPECT_NO_THROW(readBookshelf(aux));
+  const std::string log = testing::internal::GetCapturedStderr();
+  setLogLevel(saved);
+  EXPECT_NE(log.find(".pl: movable cells not placed: 1 (first: '" + omitted +
+                     "')"),
+            std::string::npos)
+      << log;
 }
 
 TEST_F(BookshelfTest, HeaderCountsMustMatchTheFile) {

@@ -8,14 +8,18 @@
 // with no leakage from earlier flows.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/flow_context.h"
+#include "common/parallel.h"
 #include "gen/netlist_generator.h"
 #include "place/engine.h"
 #include "place/report_check.h"
@@ -104,6 +108,10 @@ TEST(EngineTest, OrderDependentCounterFilter) {
   EXPECT_TRUE(isOrderDependentCounter("parallel/steals"));
   EXPECT_TRUE(isOrderDependentCounter("parallel/pool_start"));
   EXPECT_TRUE(isOrderDependentCounter("parallel/contended"));
+  // How many sibling lanes were busy decides which jobs ran inline.
+  EXPECT_TRUE(isOrderDependentCounter("parallel/narrowed"));
+  EXPECT_TRUE(isOrderDependentCounter("parallel/inline/fft/rows"));
+  EXPECT_FALSE(isOrderDependentCounter("parallel/jobs/fft/rows"));
   // Watchdog samples are wall-clock sampling.
   EXPECT_TRUE(isOrderDependentCounter("health/checks"));
   EXPECT_FALSE(isOrderDependentCounter("parallel/jobs"));
@@ -235,6 +243,62 @@ TEST(EngineTest, ConcurrentMatchesSerialBitExact) {
       EXPECT_EQ(c.report.gpRuns[r].finalLambda,
                 s.report.gpRuns[r].finalLambda);
     }
+  }
+}
+
+// With every lane of a machine-wide engine busy, the other lanes hold all
+// cores but one, so a job's pool work runs inline on its lane thread.
+// Each run report counts that and carries per-label job counts.
+TEST(EngineTest, BusyLanesNarrowPoolJobsToTheFreeCores) {
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  if (hw < 2) {
+    GTEST_SKIP() << "needs at least two hardware threads";
+  }
+  EngineOptions options;
+  options.threads = hw;
+  options.maxConcurrentJobs = hw;
+  PlacementEngine engine(options);
+
+  // Each lane takes one job and waits in its hook until all are busy.
+  std::latch allBusy(hw);
+  std::atomic<int> ranOnCallerOnly{0};
+  std::vector<std::unique_ptr<Database>> dbs;
+  std::vector<PlacementJob> jobs;
+  for (int i = 0; i < hw; ++i) {
+    dbs.push_back(engineDesign(20 + static_cast<std::uint64_t>(i), 200));
+    PlacementJob job;
+    job.db = dbs.back().get();
+    job.name = "lane" + std::to_string(i);
+    job.options = engineFlow();
+    job.attemptHook = [&](int) {
+      allBusy.arrive_and_wait();
+      std::atomic<bool> onWorker{false};
+      parallelForBlocked("test/all_lanes_busy", 64, 1,
+                         [&](Index, Index, int worker) {
+                           if (worker != 0) onWorker.store(true);
+                         });
+      if (!onWorker.load()) {
+        ranOnCallerOnly.fetch_add(1);
+      }
+    };
+    jobs.push_back(std::move(job));
+  }
+  const BatchReport batch = engine.run(std::move(jobs));
+  ASSERT_TRUE(batch.allSucceeded());
+  EXPECT_EQ(ranOnCallerOnly.load(), hw);
+  for (const JobReport& job : batch.jobs) {
+    SCOPED_TRACE(job.name);
+    const auto& counters = job.report.counters;
+    EXPECT_GE(counters.at("parallel/narrowed"), 1);
+    EXPECT_GE(counters.at("parallel/inline/test/all_lanes_busy"), 1);
+    // The per-label counts partition the flow's jobs.
+    CounterRegistry::Value perLabel = 0;
+    for (const auto& [key, value] : counters) {
+      if (key.rfind("parallel/jobs/", 0) == 0) {
+        perLabel += value;
+      }
+    }
+    EXPECT_EQ(perLabel, counters.at("parallel/jobs"));
   }
 }
 

@@ -1,14 +1,20 @@
 // Unit tests for the deterministic parallel runtime (common/parallel.h):
 // coverage/exactly-once execution, thread-count-independent block
 // decomposition, bit-identical reductions, nested-job degradation, pool
-// reconfiguration, and the observability counters.
+// reconfiguration, job widths under busy engine lanes, and the
+// observability counters.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/flow_context.h"
@@ -186,6 +192,134 @@ TEST(ThreadPoolTest, SerialModeCountsTasksToo) {
   const auto tasks0 = registry.value("parallel/tasks");
   parallelFor("test/serial", 100, 10, [](Index) {});
   EXPECT_EQ(registry.value("parallel/tasks") - tasks0, 10);
+}
+
+TEST(ThreadPoolTest, CountsJobsAndInlineRunsPerLabel) {
+  // One task, a nested job and a one-thread pool all run inline; the
+  // per-label job count is the same whichever way a job ran.
+  FlowContext context;
+  FlowContextScope flow_scope(context);
+  auto& registry = context.counters();
+  {
+    ScopedThreads scope(2);
+    parallelFor("test/label_pooled", 64, 4, [](Index) {});
+    parallelFor("test/label_one", 1, 4, [](Index) {});
+    parallelFor("test/label_outer", 4, 1, [](Index) {
+      parallelFor("test/label_inner", 8, 1, [](Index) {});
+    });
+  }
+  EXPECT_EQ(registry.value("parallel/jobs/test/label_pooled"), 1);
+  EXPECT_EQ(registry.value("parallel/inline/test/label_pooled"), 0);
+  EXPECT_EQ(registry.value("parallel/jobs/test/label_one"), 1);
+  EXPECT_EQ(registry.value("parallel/inline/test/label_one"), 1);
+  EXPECT_EQ(registry.value("parallel/jobs/test/label_inner"), 4);
+  EXPECT_EQ(registry.value("parallel/inline/test/label_inner"), 4);
+  {
+    ScopedThreads scope(1);
+    parallelFor("test/label_pooled", 64, 4, [](Index) {});
+  }
+  EXPECT_EQ(registry.value("parallel/jobs/test/label_pooled"), 2);
+  EXPECT_EQ(registry.value("parallel/inline/test/label_pooled"), 1);
+  EXPECT_EQ(registry.value("parallel/jobs"), 8);
+}
+
+/// Runs one 64-task job on the current flow's pool and returns the
+/// distinct worker indices that executed its tasks. Each task sleeps
+/// briefly so that every worker allowed to join has time to.
+std::set<int> workersOfOneJob(const char* label) {
+  std::mutex m;
+  std::set<int> workers;
+  parallelForBlocked(label, 64, 1, [&](Index, Index, int worker) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    std::lock_guard<std::mutex> lock(m);
+    workers.insert(worker);
+  });
+  return workers;
+}
+
+/// A pool sized to the machine, installed as a fresh flow's pool.
+struct MachinePool {
+  MachinePool()
+      : hw(std::max(1, static_cast<int>(std::thread::hardware_concurrency()))) {
+    pool.setThreads(hw);
+    FlowContext::Config config;
+    config.pool = &pool;
+    context = std::make_unique<FlowContext>(config);
+  }
+  int hw;
+  ThreadPool pool;
+  std::unique_ptr<FlowContext> context;
+};
+
+TEST(ThreadPoolTest, BusyLanesEveryCoreRunJobsInline) {
+  MachinePool machine;
+  if (machine.hw < 2) {
+    GTEST_SKIP() << "needs at least two hardware threads";
+  }
+  FlowContextScope flow_scope(*machine.context);
+  auto& registry = machine.context->counters();
+  std::vector<std::unique_ptr<ThreadPool::LaneScope>> lanes;
+  for (int lane = 0; lane < machine.hw; ++lane) {
+    lanes.push_back(std::make_unique<ThreadPool::LaneScope>(machine.pool));
+  }
+  EXPECT_EQ(workersOfOneJob("test/all_lanes"), std::set<int>{0});
+  EXPECT_EQ(registry.value("parallel/narrowed"), 1);
+  EXPECT_EQ(registry.value("parallel/inline/test/all_lanes"), 1);
+  // Narrowing changes who runs a block, never what a reduction returns.
+  const auto sum = [] {
+    return parallelReduce(
+        "test/narrow_sum", 10007, 64, 0.0,
+        [](Index lo, Index hi) {
+          double s = 0.0;
+          for (Index i = lo; i < hi; ++i) s += 1.0 / (3.0 + i);
+          return s;
+        },
+        [](double acc, double partial) { return acc + partial; });
+  };
+  const double narrowed = sum();
+  lanes.clear();
+  EXPECT_EQ(narrowed, sum());
+}
+
+TEST(ThreadPoolTest, BusyLanesLeaveTheRestOfTheCoresToAJob) {
+  MachinePool machine;
+  if (machine.hw < 3) {
+    GTEST_SKIP() << "needs at least three hardware threads";
+  }
+  FlowContextScope flow_scope(*machine.context);
+  auto& registry = machine.context->counters();
+  // hw - 1 busy lanes leave two cores: the caller and one worker.
+  std::vector<std::unique_ptr<ThreadPool::LaneScope>> lanes;
+  for (int lane = 1; lane < machine.hw; ++lane) {
+    lanes.push_back(std::make_unique<ThreadPool::LaneScope>(machine.pool));
+  }
+  for (int rep = 0; rep < 5; ++rep) {
+    EXPECT_LE(workersOfOneJob("test/two_cores").size(), 2u);
+  }
+  EXPECT_EQ(registry.value("parallel/narrowed"), 5);
+  EXPECT_EQ(registry.value("parallel/inline/test/two_cores"), 0);
+}
+
+TEST(ThreadPoolTest, OneBusyLaneKeepsTheWholePool) {
+  MachinePool machine;
+  FlowContextScope flow_scope(*machine.context);
+  auto& registry = machine.context->counters();
+  const auto run = [&](const char* label) {
+    for (const int worker : workersOfOneJob(label)) {
+      EXPECT_GE(worker, 0);
+      EXPECT_LT(worker, machine.hw);
+    }
+  };
+  run("test/no_lane");
+  {
+    ThreadPool::LaneScope lane(machine.pool);
+    run("test/one_lane");
+  }
+  EXPECT_EQ(registry.value("parallel/narrowed"), 0);
+  EXPECT_EQ(registry.value("parallel/jobs"), 2);
+  const CounterRegistry::Value pooled = machine.hw > 1 ? 0 : 1;
+  EXPECT_EQ(registry.value("parallel/inline/test/no_lane"), pooled);
+  EXPECT_EQ(registry.value("parallel/inline/test/one_lane"), pooled);
 }
 
 /// Sets an environment variable for one test, restoring its previous

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <span>
@@ -185,6 +187,46 @@ TEST(CheckpointTest, DecodeRejectsCorruptDocuments) {
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "checkpoint: non-finite position for cell 1");
     }
+  }
+}
+
+TEST(CheckpointTest, EveryBitFlipIsRejected) {
+  // Before the CRC, most single-bit flips decoded into a different
+  // placement or counter table with no error.
+  CheckpointData data;
+  data.signature = "gp|lg";
+  data.stageCursor = 1;
+  data.cellX = {1.5, -2.25};
+  data.cellY = {3.0, 4.75};
+  data.counters = {{"ops/density/evaluate", 12}};
+  const std::string bytes = encodeCheckpoint(data);
+  int mismatches = 0;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = bytes;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      try {
+        decodeCheckpoint(flipped);
+        ADD_FAILURE() << "no throw for byte " << i << " bit " << bit;
+      } catch (const std::runtime_error& e) {
+        mismatches += std::string(e.what()) == "checkpoint: checksum mismatch";
+      }
+    }
+  }
+  // Flips in the magic and version words fail before the checksum.
+  EXPECT_EQ(mismatches, static_cast<int>(8 * (bytes.size() - 8)));
+
+  // A version-1 document (no checksum) names its version.
+  std::string v1 = bytes.substr(0, bytes.size() - 4);
+  const std::uint32_t one = 1;
+  std::memcpy(v1.data() + 4, &one, sizeof(one));
+  try {
+    decodeCheckpoint(v1);
+    ADD_FAILURE() << "no throw for a version-1 document";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
+              std::string::npos)
+        << e.what();
   }
 }
 

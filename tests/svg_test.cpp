@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "gen/netlist_generator.h"
-#include "io/svg_writer.h"
+#include "svg_writer.h"
 
 namespace dreamplace {
 namespace {

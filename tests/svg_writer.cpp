@@ -1,4 +1,4 @@
-#include "io/svg_writer.h"
+#include "svg_writer.h"
 
 #include <fstream>
 #include <stdexcept>

@@ -1,6 +1,7 @@
 // SVG plot of a placement: die outline, rows, fixed cells (macros/pads)
 // and movable cells. Handy for eyeballing GP spreading, legalization, and
-// fence-region behaviour without a GUI.
+// fence-region behaviour without a GUI. Nothing in the placer calls it,
+// so it builds with the tests (tests/svg_test.cpp).
 #pragma once
 
 #include <string>

@@ -3,12 +3,10 @@
 // The paper's software stack (Fig. 2a) has three layers: low-level OPs,
 // automatic gradient derivation, and optimization engines. The production
 // placement ops implement their backward passes by hand for speed (as
-// DREAMPlace's CUDA ops do), but the framework also carries this tape so
-// new objective terms can be prototyped without deriving gradients —
-// exactly the "write the forward, get the backward" workflow PyTorch
-// offers. The wirelength-op unit tests use it as an oracle: the WA and
-// LSE closed-form gradients are checked against tape-differentiated
-// versions of the same formulas.
+// DREAMPlace's CUDA ops do), so this tape lives with the tests, where it
+// is the gradient oracle: the WA and LSE closed-form gradients are
+// checked against tape-differentiated versions of the same formulas
+// ("write the forward, get the backward", as PyTorch offers).
 //
 // Usage:
 //   Tape tape;

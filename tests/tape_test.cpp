@@ -2,11 +2,11 @@
 
 #include <cmath>
 
-#include "autograd/tape.h"
 #include "common/rng.h"
 #include "db/database.h"
 #include "gen/netlist_generator.h"
 #include "ops/wirelength.h"
+#include "tape.h"
 
 namespace dreamplace::autograd {
 namespace {
