@@ -78,9 +78,6 @@ struct ThreadPool::Job {
   std::atomic<Index> next{0};       ///< Shared claim cursor.
   std::atomic<Index> completed{0};  ///< Tasks fully executed.
   int active = 0;  ///< Participants inside participate(); job_mutex_.
-  /// Workers that may still join (job width - 1); job_mutex_. A worker
-  /// that wakes to find no seat left sits the job out.
-  int seats = 0;
 };
 
 ThreadPool& ThreadPool::instance() {
@@ -171,10 +168,8 @@ void ThreadPool::workerMain(int worker) {
     seen_generation = job_generation_;
     Job* job = current_job_;
     // The job may already be finished and retired (all tasks were claimed
-    // before this worker woke), or narrowed to fewer workers than woke;
-    // either way there is nothing to do for this generation.
-    if (job == nullptr || job->seats == 0) continue;
-    --job->seats;
+    // before this worker woke); nothing to do for this generation.
+    if (job == nullptr) continue;
     ++job->active;
     lock.unlock();
     {
@@ -242,17 +237,13 @@ void ThreadPool::run(const char* label, Index numTasks,
     run_inline();
     return;
   }
-  // Busy engine lanes keep a core each; the job gets what is left.
-  static const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  const int width = std::clamp(
-      std::max(hw, num_threads) - (busy_lanes_.load() - 1), 1, num_threads);
-  if (width < num_threads) {
+  // Two or more busy engine lanes already hold the cores: a job pools
+  // only while its lane is the one busy lane (docs/PARALLEL.md).
+  if (busy_lanes_.load(std::memory_order_relaxed) > 1) {
     static Counter narrowed("parallel/narrowed");
     narrowed.add();
-    if (width == 1) {
-      run_inline();
-      return;
-    }
+    run_inline();
+    return;
   }
   // Single job slot: when another flow's job already occupies the pool,
   // run this job inline on the calling thread. The deterministic block
@@ -276,17 +267,12 @@ void ThreadPool::run(const char* label, Index numTasks,
   job.numTasks = numTasks;
   job.context = &FlowContext::current();
   job.active = 1;  // The caller participates as worker 0.
-  job.seats = width - 1;
   {
     std::lock_guard<std::mutex> lock(job_mutex_);
     current_job_ = &job;
     ++job_generation_;
   }
-  if (width == num_threads) {
-    job_cv_.notify_all();
-  } else {
-    for (int seat = 1; seat < width; ++seat) job_cv_.notify_one();
-  }
+  job_cv_.notify_all();
   participate(job, 0);
   {
     std::unique_lock<std::mutex> lock(job_mutex_);
@@ -299,7 +285,7 @@ void ThreadPool::run(const char* label, Index numTasks,
     // nullptr instead of a dangling stack pointer.
     current_job_ = nullptr;
   }
-  capacity_us_.fetch_add(elapsedMicros(start) * width,
+  capacity_us_.fetch_add(elapsedMicros(start) * num_threads,
                          std::memory_order_relaxed);
 }
 

@@ -25,9 +25,9 @@
 // costs such as sorted-by-area density scatter). Dynamic claiming is safe
 // for determinism because *which thread* runs a block never influences
 // the result — blocks write disjoint state or produce ordered partials.
-// For the same reason a job may run on fewer workers than the pool has:
-// while several engine lanes are busy, each job is sized to the cores the
-// other lanes leave free (ThreadPool::LaneScope).
+// For the same reason a job may run inline: while two or more engine
+// lanes are busy, the lanes themselves hold the cores and each job runs
+// on its lane's thread alone (ThreadPool::LaneScope).
 //
 // Grain-size guidance (see docs/PARALLEL.md): pick a grain so one block
 // costs ~10µs or more. Elementwise loops over cells/pins: 1024–8192.
@@ -59,23 +59,20 @@ class FlowContext;
 /// one bounded worker set. A pool accepts run() from several threads at
 /// once: one caller's job occupies the workers, the others execute their
 /// tasks inline on the calling thread (the determinism contract makes
-/// the result identical either way — only wall time differs). While
-/// engine lanes are busy (LaneScope), a job wakes only as many workers as
-/// the cores those lanes leave free, and runs inline when none are. Workers
-/// adopt the submitting flow's FlowContext for the duration of a job, so
-/// per-flow counters/timers/traces attribute correctly from inside
-/// kernels.
+/// the result identical either way — only wall time differs). While two
+/// or more engine lanes are busy (LaneScope), every job runs inline on
+/// its lane. Workers adopt the submitting flow's FlowContext for the
+/// duration of a job, so per-flow counters/timers/traces attribute
+/// correctly from inside kernels.
 class ThreadPool {
  public:
   ThreadPool() = default;
   static ThreadPool& instance();
 
   /// Marks one busy engine lane for its lifetime; PlacementEngine holds
-  /// one around each job. With `busy` lanes marked, run() gives a job
-  ///   width = clamp(max(hw, threads()) - (busy - 1), 1, threads())
-  /// participants, hw being std::thread::hardware_concurrency(): the
-  /// other busy lanes each keep a core. Outside an engine, or with one
-  /// lane, width == threads().
+  /// one around each job. With two or more lanes marked, run() executes
+  /// every job inline: the lanes already keep the cores busy. Outside an
+  /// engine, or with one lane, a job gets the whole pool.
   class LaneScope {
    public:
     explicit LaneScope(ThreadPool& pool) : pool_(pool) { ++pool_.busy_lanes_; }
@@ -102,15 +99,16 @@ class ThreadPool {
   /// task exactly once. workerIndex is in [0, threads()); the calling
   /// thread participates as worker 0. Serial inline when threads() == 1,
   /// numTasks <= 1, when called from inside a pool task (nested
-  /// parallelism degrades to serial rather than deadlocking), when busy
-  /// lanes narrow the job to width 1, or when another caller's job holds
-  /// the workers.
+  /// parallelism degrades to serial rather than deadlocking), while two or
+  /// more engine lanes are busy, or when another caller's job holds the
+  /// workers.
   void run(const char* label, Index numTasks,
            const std::function<void(Index, int)>& fn);
 
   /// Cumulative worker-busy microseconds across all jobs.
   std::int64_t busyMicros() const;
-  /// Cumulative capacity: job wall time times job width, summed.
+  /// Cumulative capacity: job wall time times pool size (1 for a job run
+  /// inline), summed.
   std::int64_t capacityMicros() const;
   /// busyMicros / capacityMicros in [0, 1]; 0 before any job ran.
   double utilization() const;

@@ -526,9 +526,9 @@ BatchReport PlacementEngine::run(std::vector<PlacementJob> jobs) {
   // Each lane pulls the next unstarted job and runs it on the lane
   // thread. A flow owns all of its transform state (plans, scratch), so
   // nothing a job computes depends on which lane ran it or what that
-  // lane ran before (docs/ENGINE.md). A running job marks its lane busy,
-  // so the pool sizes each fork-join to the cores the other lanes leave
-  // free.
+  // lane ran before (docs/ENGINE.md). A running job marks its lane busy;
+  // while two or more lanes are busy they hold the cores, and the pool
+  // runs their fork-joins inline.
   const auto lane = [&]() {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);

@@ -182,8 +182,8 @@ struct BatchReport {
 
 /// True for counter keys whose values legitimately differ between serial
 /// and concurrent batch runs: they attribute *shared infrastructure* (pool
-/// start/steal/contention/narrowing and the per-label inline runs depend
-/// on scheduling) or wall-clock sampling (watchdog checks), not
+/// start/steal/contention, busy-lane inline runs and the per-label inline
+/// runs depend on scheduling) or wall-clock sampling (watchdog checks), not
 /// algorithmic work. Everything else — op evaluate/solve counts, FFT plan
 /// and transform counts, optimizer steps, parallel/jobs, parallel/tasks
 /// and parallel/jobs/<label> — is deterministic per flow and safe to

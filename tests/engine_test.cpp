@@ -246,10 +246,10 @@ TEST(EngineTest, ConcurrentMatchesSerialBitExact) {
   }
 }
 
-// With every lane of a machine-wide engine busy, the other lanes hold all
-// cores but one, so a job's pool work runs inline on its lane thread.
-// Each run report counts that and carries per-label job counts.
-TEST(EngineTest, BusyLanesNarrowPoolJobsToTheFreeCores) {
+// With every lane of a machine-wide engine busy, the lanes hold the
+// cores, so a job's pool work runs inline on its lane thread. Each run
+// report counts that and carries per-label job counts.
+TEST(EngineTest, BusyLanesRunPoolJobsInline) {
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   if (hw < 2) {
     GTEST_SKIP() << "needs at least two hardware threads";
