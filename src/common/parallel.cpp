@@ -35,11 +35,14 @@ int resolveThreadCount(int requested) {
 /// and degrade to serial inline execution instead of deadlocking.
 thread_local bool tl_in_pool_task = false;
 
-/// Counter keys of one job label: `parallel/jobs/<label>` and
-/// `parallel/inline/<label>`.
+/// Counter keys of one job label: `parallel/jobs/<label>`,
+/// `parallel/inline/<label>`, `parallel/wall_us/<label>` and
+/// `parallel/busy_us/<label>`.
 struct LabelKeys {
   std::string jobs;
   std::string inlined;
+  std::string wall_us;
+  std::string busy_us;
 };
 
 /// Labels are string literals, so each thread builds a label's keys once
@@ -48,9 +51,12 @@ const LabelKeys& labelKeys(const char* label) {
   thread_local std::unordered_map<const char*, LabelKeys> cache;
   auto it = cache.find(label);
   if (it == cache.end()) {
+    const std::string name(label);
     it = cache
-             .emplace(label, LabelKeys{std::string("parallel/jobs/") + label,
-                                       std::string("parallel/inline/") + label})
+             .emplace(label, LabelKeys{"parallel/jobs/" + name,
+                                       "parallel/inline/" + name,
+                                       "parallel/wall_us/" + name,
+                                       "parallel/busy_us/" + name})
              .first;
   }
   return it->second;
@@ -77,6 +83,7 @@ struct ThreadPool::Job {
   FlowContext* context = nullptr;
   std::atomic<Index> next{0};       ///< Shared claim cursor.
   std::atomic<Index> completed{0};  ///< Tasks fully executed.
+  std::atomic<std::int64_t> busy_us{0};  ///< Participants' busy time.
   int active = 0;  ///< Participants inside participate(); job_mutex_.
 };
 
@@ -198,7 +205,9 @@ void ThreadPool::participate(Job& job, int worker) {
   }
   tl_in_pool_task = was_in_task;
   if (executed > 0) {
-    busy_us_.fetch_add(elapsedMicros(start), std::memory_order_relaxed);
+    const std::int64_t busy = elapsedMicros(start);
+    busy_us_.fetch_add(busy, std::memory_order_relaxed);
+    job.busy_us.fetch_add(busy, std::memory_order_relaxed);
     if (worker != 0) steals.add(executed);
     TraceRecorder& recorder = currentTraceRecorder();
     if (recorder.enabled()) {
@@ -232,6 +241,8 @@ void ThreadPool::run(const char* label, Index numTasks,
     const std::int64_t wall = elapsedMicros(start);
     busy_us_.fetch_add(wall, std::memory_order_relaxed);
     capacity_us_.fetch_add(wall, std::memory_order_relaxed);
+    counters.add(keys.wall_us, wall);
+    counters.add(keys.busy_us, wall);
   };
   if (num_threads <= 1 || numTasks <= 1 || tl_in_pool_task) {
     run_inline();
@@ -285,8 +296,10 @@ void ThreadPool::run(const char* label, Index numTasks,
     // nullptr instead of a dangling stack pointer.
     current_job_ = nullptr;
   }
-  capacity_us_.fetch_add(elapsedMicros(start) * num_threads,
-                         std::memory_order_relaxed);
+  const std::int64_t wall = elapsedMicros(start);
+  capacity_us_.fetch_add(wall * num_threads, std::memory_order_relaxed);
+  counters.add(keys.wall_us, wall);
+  counters.add(keys.busy_us, job.busy_us.load(std::memory_order_relaxed));
 }
 
 }  // namespace dreamplace

@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "common/types.h"
 
@@ -164,6 +165,16 @@ inline ScalarVec<T, N> vexp(ScalarVec<T, N> a) {
   return a;
 }
 
+/// Lanes (1, 0, 3, 2, ...): swaps the two parts of each interleaved
+/// complex value. N must be even.
+template <typename T, int N>
+inline ScalarVec<T, N> swapPairs(ScalarVec<T, N> a) {
+  static_assert(N % 2 == 0, "swapPairs needs an even lane count");
+  ScalarVec<T, N> r;
+  for (int i = 0; i < N; ++i) r.lane[i] = a.lane[i ^ 1];
+  return r;
+}
+
 #if defined(DREAMPLACE_SIMD_ENABLED)
 
 // ---------------------------------------------------------------------------
@@ -214,6 +225,19 @@ inline HwVec<T, N> max(HwVec<T, N> a, HwVec<T, N> b) {
 template <typename T, int N>
 inline HwVec<T, N> fma(HwVec<T, N> a, HwVec<T, N> b, HwVec<T, N> c) {
   return {a.v * b.v + c.v};
+}
+namespace detail {
+template <typename T, int N, int... I>
+inline HwVec<T, N> swapPairs(HwVec<T, N> a,
+                             std::integer_sequence<int, I...>) {
+  return {__builtin_shufflevector(a.v, a.v, (I ^ 1)...)};
+}
+}  // namespace detail
+/// Lanes (1, 0, 3, 2, ...), one shuffle; see the ScalarVec overload.
+template <typename T, int N>
+inline HwVec<T, N> swapPairs(HwVec<T, N> a) {
+  static_assert(N % 2 == 0, "swapPairs needs an even lane count");
+  return detail::swapPairs(a, std::make_integer_sequence<int, N>{});
 }
 template <typename T, int N>
 inline T hsum(HwVec<T, N> a) {

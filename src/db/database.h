@@ -13,6 +13,7 @@
 
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/geometry.h"
@@ -51,6 +52,9 @@ class Database {
   Index addPin(Index net, Index cell, Coord offsetX, Coord offsetY);
 
   void setDieArea(const Box<Coord>& area) { die_area_ = area; }
+  /// Design name used in error messages (the generator's designName, the
+  /// Bookshelf .aux stem); empty when the builder sets none.
+  void setName(std::string name) { name_ = std::move(name); }
   void addRow(const Row& row) { rows_.push_back(row); }
 
   /// Sets the initial location (lower-left) of a cell.
@@ -63,6 +67,7 @@ class Database {
   /// out of range) and leaves the database unfinalized.
   void finalize();
   bool finalized() const { return finalized_; }
+  const std::string& name() const { return name_; }
 
   // --- Sizes ---------------------------------------------------------------
   Index numCells() const { return static_cast<Index>(cell_width_.size()); }
@@ -156,6 +161,7 @@ class Database {
   void buildCellPinCsr();
   void validate() const;
 
+  std::string name_;
   Box<Coord> die_area_{};
   std::vector<Row> rows_;
 

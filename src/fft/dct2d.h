@@ -18,10 +18,12 @@
 #pragma once
 
 #include <complex>
+#include <functional>
 #include <optional>
 #include <vector>
 
 #include "common/memory.h"
+#include "common/types.h"
 #include "fft/dct.h"
 #include "fft/plan.h"
 
@@ -43,11 +45,17 @@ enum class Dct2dAlgorithm {
 /// (including per-pool-worker row and column scratch), so the transform
 /// methods perform no trigonometry and no heap allocation (scratch
 /// regrows only if the thread pool is enlarged after plan construction).
-/// The mixed inverse transforms fuse the paper's eq. (14)/(16) input flips
-/// and eq. (15)/(17) sign passes into the existing twiddle and reorder
-/// sweeps instead of materializing a flipped copy plus a sign sweep
-/// (kFft2dN only; row-column algorithms keep the literal flip for oracle
-/// comparability).
+///
+/// kFft2dN runs each transform in few pool jobs (docs/FFT.md): the row
+/// pass packs kRowBlock rows into worker scratch and runs their real FFTs
+/// as one batch, the column pass copies a strip of whole cache lines of
+/// the spectrum into worker scratch and transforms it as one batch, and
+/// the elementwise passes (reorder, twiddle, gather, signs, scale) ride
+/// in those copies. The mixed inverse transforms fuse the paper's eq.
+/// (14)/(16) input flips into the column copy-in and the eq. (15)/(17)
+/// sign passes into the row output instead of materializing a flipped
+/// copy plus a sign sweep (row-column algorithms keep the literal flip
+/// for oracle comparability).
 ///
 /// NOT thread-safe: a plan owns its workspace, so use one plan per thread
 /// (the transforms parallelize internally on the deterministic
@@ -56,6 +64,12 @@ enum class Dct2dAlgorithm {
 template <typename T>
 class Dct2dPlan {
  public:
+  /// Rows per block of the kFft2dN row passes and of the dct2d row hook.
+  static constexpr int kRowBlock = 8;
+  /// Called on finished dct2d output rows [begin, end); returns a partial
+  /// that dct2d sums.
+  using RowHook = std::function<double(Index begin, Index end)>;
+
   Dct2dPlan(int n1, int n2, Dct2dAlgorithm algo = Dct2dAlgorithm::kFft2dN);
 
   int n1() const { return n1_; }
@@ -63,17 +77,34 @@ class Dct2dPlan {
   Dct2dAlgorithm algorithm() const { return algo_; }
 
   void dct2d(const T* in, T* out);
+  /// dct2d, then onRows on each block of kRowBlock output rows (in the
+  /// twiddle pass's pool job for kFft2dN). Returns the blocks' partials
+  /// summed from 0.0 in ascending block order, so the sum does not
+  /// depend on the thread count.
+  double dct2d(const T* in, T* out, const RowHook& onRows);
   void idct2d(const T* in, T* out);
   /// IDCT along dim0, IDXST along dim1 (paper Alg. 4 IDCT_IDXST).
   void idctIdxst(const T* in, T* out);
   /// IDXST along dim0, IDCT along dim1 (paper Alg. 4 IDXST_IDCT).
   void idxstIdct(const T* in, T* out);
+  /// idxstIdct(x_in) -> x_out and idctIdxst(y_in) -> y_out, the two field
+  /// transforms of the Poisson solve. kFft2dN runs both in the same two
+  /// pool jobs; the results equal the two single calls bit for bit.
+  void mixedInverses(const T* x_in, T* x_out, const T* y_in, T* y_out);
 
  private:
-  void forwardFft2d(const T* in, T* out);
-  /// Generalized inverse: optional flip along dim0/dim1 realizes the
-  /// IDXST reductions without extra full-map passes.
-  void inverseFft2d(const T* in, T* out, bool flip0, bool flip1);
+  /// One kFft2dN inverse: `in` -> `out`, with the optional flips along
+  /// dim0/dim1 that realize the IDXST reductions.
+  struct Inverse {
+    const T* in;
+    T* out;
+    bool flip0;
+    bool flip1;
+  };
+
+  double forwardFft2d(const T* in, T* out, const RowHook* onRows);
+  /// Runs `count` (1 or 2) inverses in one column job and one row job.
+  void inverseFft2d(const Inverse* inverses, int count);
   void rowColApply(const T* in, T* out, bool forward);
   /// Attributes all owned workspace/table bytes to "fft/scratch".
   void trackWorkspace();
@@ -83,11 +114,15 @@ class Dct2dPlan {
 
   std::complex<T>* rowScratch(int worker);
   std::complex<T>* colScratch(int worker);
+  /// One-sided spectrum `field` (0 or 1) of kFft2dN, cache-line aligned.
+  std::complex<T>* spectrum(int field);
 
   int n1_;
   int n2_;
   int h2_ = 0;      ///< n2/2 (kFft2dN)
-  int stride_ = 0;  ///< h2_+1, row stride of the one-sided spectrum
+  int stride_ = 0;  ///< spectrum row stride: h2_+1 rounded up to a line
+  int strip_ = 0;   ///< spectrum columns per column-pass strip
+  int strips_ = 0;  ///< ceil((h2_+1) / strip_)
   Dct2dAlgorithm algo_;
 
   // Row-column state.
@@ -102,13 +137,14 @@ class Dct2dPlan {
   std::vector<std::complex<T>> tw1_;  ///< exp(-i*pi*k1/(2*n1)), k1 < n1
   std::vector<std::complex<T>> tw2_;  ///< exp(-i*pi*k2/(2*n2)), k2 < n2
   std::vector<int> reorder1_, reorder2_;        ///< forward gather maps
-  std::vector<int> inv_reorder1_, inv_reorder2_;
+  std::vector<int> inv_reorder1_;              ///< eq. (13) row map
 
   // Workspace (ctor-sized; transforms never allocate).
-  std::vector<T> buf_a_;                    ///< n1*n2 reorder/output buffer
+  std::vector<T> buf_a_;                    ///< n1*n2, row-col only
   std::vector<T> buf_b_;                    ///< n1*n2, row-col only
   std::vector<T> flip_;                     ///< n1*n2, row-col mixed only
-  std::vector<std::complex<T>> spec_;       ///< n1*stride, kFft2dN only
+  std::vector<T> zero_row_;                 ///< n2 zeros, kFft2dN only
+  std::vector<std::complex<T>> spec_;       ///< two n1*stride spectra
   std::size_t row_scratch_stride_ = 0;
   std::size_t col_scratch_stride_ = 0;
   int scratch_workers_ = 0;                 ///< pool size scratch is sized for

@@ -36,17 +36,35 @@ class FftPlan {
   int size() const { return n_; }
   bool inverse() const { return inverse_; }
 
-  /// Complex scratch slots execute() needs: 0 for power-of-two sizes,
-  /// the padded Bluestein length otherwise.
+  /// Complex scratch slots execute() needs per sequence: 0 for
+  /// power-of-two sizes, the padded Bluestein length otherwise.
   std::size_t scratchSize() const { return scratch_size_; }
 
   /// In-place transform of data[0..n). `scratch` must provide
-  /// scratchSize() slots (may be null when that is zero).
-  void execute(std::complex<T>* data, std::complex<T>* scratch) const;
+  /// scratchSize() slots (may be null when that is zero). The batch of
+  /// one: execute(data, 1, 1, scratch).
+  void execute(std::complex<T>* data, std::complex<T>* scratch) const {
+    execute(data, 1, 1, scratch);
+  }
+
+  /// In-place transform of `count` interleaved sequences: element t of
+  /// sequence c is data[t*stride + c] (stride >= count). The butterflies
+  /// run across the batch, so the inner loop is contiguous. Every
+  /// element sees the same twiddles, operation order and 1/n scale as a
+  /// transform of its sequence alone, so the results are bit-identical
+  /// to `count` single calls. `scratch` must provide scratchSize()*count
+  /// slots.
+  void execute(std::complex<T>* data, int count, std::size_t stride,
+               std::complex<T>* scratch) const;
 
  private:
-  void executePow2(std::complex<T>* data) const;
-  void executeBluestein(std::complex<T>* data,
+  // Count and Stride are int / std::size_t or std::integral_constant:
+  // 1 and 1 for the batch of one, which then compiles to a plain scalar
+  // loop, and a count of 4 or 8 for Dct2dPlan's strips and row blocks.
+  template <typename Count, typename Stride>
+  void executePow2(std::complex<T>* data, Count count, Stride stride) const;
+  template <typename Count, typename Stride>
+  void executeBluestein(std::complex<T>* data, Count count, Stride stride,
                         std::complex<T>* scratch) const;
 
   int n_;
@@ -80,13 +98,33 @@ class RfftPlan {
   /// Complex scratch slots: n/2 packing slots + the half plan's own need.
   std::size_t scratchSize() const;
 
+  /// Complex scratch slots the half plan needs per sequence (the
+  /// `scratch` of forwardPacked / inversePacked, times the batch count).
+  std::size_t halfScratchSize() const { return half_.scratchSize(); }
+
   /// rfft: in[0..n) -> out[0..n/2]. Forward plans only.
   void forward(const T* in, std::complex<T>* out,
                std::complex<T>* scratch) const;
 
+  /// Batched rfft of `count` rows the caller packed into `z`: z[m*count
+  /// + r] = (x_r[2m], x_r[2m+1]) for m < n/2. Runs the half-size FFT as
+  /// one batch (overwriting z) and writes row r's spectrum [0..n/2] to
+  /// out + r*outStride. `scratch` provides halfScratchSize()*count slots.
+  /// Forward plans only; per element identical to forward().
+  void forwardPacked(std::complex<T>* z, int count, std::complex<T>* out,
+                     std::size_t outStride, std::complex<T>* scratch) const;
+
   /// irfft: in[0..n/2] -> out[0..n). Inverse plans only.
   void inverse(const std::complex<T>* in, T* out,
                std::complex<T>* scratch) const;
+
+  /// Batched irfft of the spectra rows[0..count): packs them into z and
+  /// runs the half-size inverse FFT as one batch. Afterwards sample 2m
+  /// of row r is z[m*count + r].real() and sample 2m+1 its imag().
+  /// `z` holds n/2*count slots, `scratch` halfScratchSize()*count.
+  /// Inverse plans only; per element identical to inverse().
+  void inversePacked(const std::complex<T>* const* rows, int count,
+                     std::complex<T>* z, std::complex<T>* scratch) const;
 
  private:
   int n_;

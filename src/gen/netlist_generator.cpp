@@ -54,6 +54,7 @@ std::unique_ptr<Database> generateNetlist(const GeneratorConfig& config) {
   }
   Rng rng(config.seed, /*stream=*/0x9e3779b97f4a7c15ULL);
   auto db = std::make_unique<Database>();
+  db->setName(config.designName);
 
   // --- Movable cells ------------------------------------------------------
   const Index n = config.numCells;

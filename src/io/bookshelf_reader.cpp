@@ -545,6 +545,7 @@ std::unique_ptr<Database> readBookshelf(const std::string& auxPath) {
   ScopedTimer timer("io/read");
   const AuxFiles files = parseAux(auxPath);
   auto db = std::make_unique<Database>();
+  db->setName(fs::path(auxPath).stem().string());
   NameMap byName;
   std::vector<char> fixed;
   parseNodes(files.nodes, *db, byName, fixed);

@@ -4,7 +4,6 @@
 
 #include "common/counters.h"
 #include "common/log.h"
-#include "common/parallel.h"
 
 namespace dreamplace {
 
@@ -51,9 +50,10 @@ void PoissonSolver<T>::solve(std::span<const T> density,
   out.fieldX.resize(total);
   out.fieldY.resize(total);
 
-  // Forward DCT of the charge density.
-  plan_.dct2d(density.data(), coeff_.data());
-
+  // Forward DCT of the charge density; each finished block of rows is
+  // turned into the field modes right away (in the transform's last pool
+  // job for kFft2dN).
+  //
   // Mode amplitudes of the series rho = sum a_uv cos cos are
   // a_uv = dct * eps_u * eps_v / (mx*my); evaluating the inverse series
   // through idct2d absorbs another 2^[u==0] 2^[v==0], so the combined
@@ -62,9 +62,8 @@ void PoissonSolver<T>::solve(std::span<const T> density,
   // energy 1/2 sum_b rho_b psi_b equals 1/2 sum_uv e_u e_v coeff_uv z_uv
   // with e_0 = 1/2, e_{>0} = 1 (the c_0/2 of the DCT-III), summed here.
   const T norm = T(4) / (static_cast<T>(mx_) * static_cast<T>(my_));
-  out.energy = parallelReduce(
-      "ops/es/coeff", mx_, 8, 0.0,
-      [&](Index u_begin, Index u_end) {
+  out.energy = plan_.dct2d(
+      density.data(), coeff_.data(), [&](Index u_begin, Index u_end) {
         double partial = 0.0;
         for (Index u = u_begin; u < u_end; ++u) {
           const T wu = wu_[u];
@@ -80,11 +79,10 @@ void PoissonSolver<T>::solve(std::span<const T> density,
           }
         }
         return partial;
-      },
-      [](double acc, double partial) { return acc + partial; });
+      });
 
-  plan_.idxstIdct(zx_.data(), out.fieldX.data());
-  plan_.idctIdxst(zy_.data(), out.fieldY.data());
+  plan_.mixedInverses(zx_.data(), out.fieldX.data(), zy_.data(),
+                      out.fieldY.data());
 }
 
 template class PoissonSolver<float>;

@@ -86,8 +86,11 @@ bool isOrderDependentCounter(std::string_view key) {
   }
   // Pool scheduling: who started the workers, how blocks were claimed,
   // whether a second run() caller hit the occupied job slot, how many
-  // sibling lanes were busy, and so which jobs ran inline.
-  if (key.substr(0, 16) == "parallel/inline/") {
+  // sibling lanes were busy, and so which jobs ran inline; and the
+  // wall-clock time each label's jobs took.
+  if (key.substr(0, 16) == "parallel/inline/" ||
+      key.substr(0, 17) == "parallel/wall_us/" ||
+      key.substr(0, 17) == "parallel/busy_us/") {
     return true;
   }
   return key == "parallel/steals" || key == "parallel/pool_start" ||

@@ -1,6 +1,8 @@
 #include "place/placer.h"
 
+#include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -12,6 +14,7 @@
 #include "common/timer.h"
 #include "common/trace.h"
 #include "db/metrics.h"
+#include "lg/macro_legalizer.h"
 #include "place/pipeline.h"
 #include "place/report.h"
 
@@ -211,6 +214,81 @@ void PlacerOptions::validate() const {
   }
 }
 
+void checkPlaceable(const Database& db) {
+  const std::vector<Row>& rows = db.rows();
+  if (rows.empty()) {
+    return;
+  }
+  const std::string design =
+      "placeDesign: design '" + (db.name().empty() ? "unnamed" : db.name()) +
+      "' cannot be legalized: ";
+  const auto number = [](double v) {
+    std::ostringstream out;
+    out << v;
+    return out.str();
+  };
+  Coord widest_row = 0;
+  for (const Row& row : rows) {
+    widest_row = std::max(widest_row, row.xh - row.xl);
+  }
+  Coord cell_area = 0;
+  for (Index i = 0; i < db.numMovable(); ++i) {
+    if (isMovableMacro(db, i)) {
+      continue;
+    }
+    if (db.cellWidth(i) > widest_row) {
+      throw std::invalid_argument(
+          design + "movable cell '" + db.cellName(i) + "' is " +
+          number(db.cellWidth(i)) + " wide, wider than every row (widest " +
+          number(widest_row) + ")");
+    }
+    cell_area += db.cellArea(i);
+  }
+
+  // Rows in ascending y (they do not overlap), then each fixed cell's
+  // x-span on every row it overlaps vertically: the span the legalizer's
+  // row segments leave out.
+  std::vector<Index> order(rows.size());
+  for (Index r = 0; r < static_cast<Index>(rows.size()); ++r) order[r] = r;
+  std::sort(order.begin(), order.end(),
+            [&](Index a, Index b) { return rows[a].y < rows[b].y; });
+  std::vector<std::vector<std::pair<Coord, Coord>>> blocked(rows.size());
+  for (Index i = db.numMovable(); i < db.numCells(); ++i) {
+    const Box<Coord> box = db.cellBox(i);
+    auto it = std::partition_point(order.begin(), order.end(), [&](Index r) {
+      return rows[r].y + rows[r].height <= box.yl;
+    });
+    for (; it != order.end() && rows[*it].y < box.yh; ++it) {
+      const Row& row = rows[*it];
+      const Coord xl = std::max(box.xl, row.xl);
+      const Coord xh = std::min(box.xh, row.xh);
+      if (xh > xl) {
+        blocked[*it].emplace_back(xl, xh);
+      }
+    }
+  }
+  Coord row_area = 0;
+  Coord fixed_area = 0;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    row_area += (rows[r].xh - rows[r].xl) * rows[r].height;
+    std::sort(blocked[r].begin(), blocked[r].end());
+    Coord cursor = rows[r].xl;
+    for (const auto& [xl, xh] : blocked[r]) {
+      if (xh > cursor) {
+        fixed_area += (xh - std::max(xl, cursor)) * rows[r].height;
+        cursor = xh;
+      }
+    }
+  }
+  if (cell_area > row_area - fixed_area) {
+    throw std::invalid_argument(
+        design + "movable standard-cell area " + number(cell_area) +
+        " exceeds the free row area " + number(row_area - fixed_area) +
+        " (row area " + number(row_area) + " minus fixed area " +
+        number(fixed_area) + " inside the rows)");
+  }
+}
+
 FlowResult placeDesign(Database& db, const PlacerOptions& options) {
   // Fresh context per call: the flow's counters/timings start from zero,
   // so sequential flows in one process no longer leak into each other's
@@ -226,6 +304,11 @@ FlowResult placeDesign(Database& db, const PlacerOptions& options) {
 FlowResult placeDesign(Database& db, const PlacerOptions& options,
                        FlowContext& context, RunReport* reportOut) {
   options.validate();
+  // A flow that skips GP goes straight to the legalizer, which reports an
+  // overfull design itself (lgFallback, lgFailedCells) in milliseconds.
+  if (options.runGlobalPlacement) {
+    checkPlaceable(db);
+  }
   FlowContextScope scope(context);
   // 0 keeps the pool as configured (auto-resolution or a caller's
   // earlier setThreads); only an explicit request reconfigures it.

@@ -118,6 +118,15 @@ struct FlowResult {
   double totalSeconds = 0.0;
 };
 
+/// Throws std::invalid_argument, in one line naming the design, when no
+/// legalizer can place `db`: its movable standard cells (movable cells no
+/// taller than a row) need more area than the rows leave free of fixed
+/// cells, or one of them is wider than every row. A design without rows
+/// passes. placeDesign runs this check first whenever the flow runs
+/// global placement, so an unplaceable design fails in milliseconds
+/// instead of after a full GP.
+void checkPlaceable(const Database& db);
+
 /// Runs the full placement flow on `db` in place. Each call runs under a
 /// fresh FlowContext, so the RunReport (when requested) contains exactly
 /// this flow's counters/timings — sequential flows in one process no

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "fft/dct2d.h"
+#include "fft_reference.h"
 
 namespace dreamplace::fft {
 namespace {
@@ -209,6 +212,77 @@ TEST(Dct2dFloatTest, SinglePrecisionAgreesWithDouble) {
     err = std::max(err, std::abs(cf[i] - cd[i]));
   }
   EXPECT_LT(err, 5e-2);
+}
+
+// ---------------------------------------------------------------------------
+// Bit pinning: kFft2dN against the serial reference of tests/
+// fft_reference.h (per-row RfftPlan, per-column FftPlan::execute, separate
+// reorder, twiddle, gather, sign and scale passes), under memcmp, at pool
+// sizes 1, 2 and 4.
+// ---------------------------------------------------------------------------
+
+/// The pinned grids: radix-2 squares and rectangles, and 12x10 whose
+/// columns (12) and half rows (5) both take the Bluestein path.
+constexpr std::pair<int, int> kPinnedGrids[] = {
+    {8, 8}, {12, 10}, {64, 32}, {256, 256}};
+
+template <typename T>
+std::vector<T> randomMapT(int n1, int n2, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<T> x(static_cast<size_t>(n1) * n2);
+  for (T& v : x) {
+    // Some exact zeros, as in a density map with empty bins.
+    v = rng.uniform(0, 1) < 0.2 ? T(0) : static_cast<T>(rng.uniform(-2, 2));
+  }
+  return x;
+}
+
+template <typename T>
+bool sameBits(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+template <typename T>
+void expectFft2dNMatchesReference() {
+  for (const auto& [n1, n2] : kPinnedGrids) {
+    const auto x = randomMapT<T>(n1, n2, 17 * n1 + n2);
+    const size_t total = x.size();
+    reference::Dct2d<T> ref(n1, n2);
+    std::vector<T> want_dct(total), want_idct(total), want_idct_idxst(total),
+        want_idxst_idct(total);
+    ref.dct2d(x.data(), want_dct.data());
+    ref.idct2d(x.data(), want_idct.data());
+    ref.idctIdxst(x.data(), want_idct_idxst.data());
+    ref.idxstIdct(x.data(), want_idxst_idct.data());
+    for (const int threads : {1, 2, 4}) {
+      ThreadPool::instance().setThreads(threads);
+      Dct2dPlan<T> plan(n1, n2, Dct2dAlgorithm::kFft2dN);
+      std::vector<T> got(total), got_y(total);
+      const std::string where = std::to_string(n1) + "x" +
+                                std::to_string(n2) + " at " +
+                                std::to_string(threads) + " threads";
+      plan.dct2d(x.data(), got.data());
+      EXPECT_TRUE(sameBits(got, want_dct)) << "dct2d " << where;
+      plan.idct2d(x.data(), got.data());
+      EXPECT_TRUE(sameBits(got, want_idct)) << "idct2d " << where;
+      plan.idctIdxst(x.data(), got.data());
+      EXPECT_TRUE(sameBits(got, want_idct_idxst)) << "idctIdxst " << where;
+      plan.idxstIdct(x.data(), got.data());
+      EXPECT_TRUE(sameBits(got, want_idxst_idct)) << "idxstIdct " << where;
+      // Both field inverses in shared pool jobs, as the Poisson solve runs
+      // them.
+      plan.mixedInverses(x.data(), got.data(), x.data(), got_y.data());
+      EXPECT_TRUE(sameBits(got, want_idxst_idct)) << "mixed x " << where;
+      EXPECT_TRUE(sameBits(got_y, want_idct_idxst)) << "mixed y " << where;
+    }
+  }
+  ThreadPool::instance().setThreads(0);
+}
+
+TEST(Dct2dBitsTest, Fft2dNMatchesReferenceBitForBit) {
+  expectFft2dNMatchesReference<float>();
+  expectFft2dNMatchesReference<double>();
 }
 
 }  // namespace

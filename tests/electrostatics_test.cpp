@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/flow_context.h"
 #include "common/counters.h"
 #include "common/memory.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "fft/dct2d.h"
+#include "fft_reference.h"
 #include "ops/electrostatics.h"
 
 namespace dreamplace {
@@ -349,6 +352,46 @@ void expectEnergyMatchesRealSpaceSum(double rel_tol) {
 TEST(PoissonTest, EnergyMatchesRealSpaceSum) {
   expectEnergyMatchesRealSpaceSum<double>(1e-9);
   expectEnergyMatchesRealSpaceSum<float>(1e-4);
+}
+
+template <typename T>
+void expectSolveMatchesReference() {
+  // Radix-2 grids, and 12x10 whose columns and half rows take Bluestein.
+  for (const auto& [mx, my] : {std::pair{8, 8}, std::pair{12, 10},
+                               std::pair{64, 32}, std::pair{256, 256}}) {
+    Rng rng(mx * 1000 + my);
+    std::vector<T> rho(static_cast<size_t>(mx) * my);
+    for (T& v : rho) {
+      v = rng.uniform(0, 1) < 0.3 ? T(0) : static_cast<T>(rng.uniform(0, 2));
+    }
+    const auto want = fft::reference::poissonSolve<T>(mx, my, rho);
+    const size_t bytes = rho.size() * sizeof(T);
+    for (const int threads : {1, 2, 4}) {
+      ThreadPool::instance().setThreads(threads);
+      PoissonSolver<T> solver(mx, my);
+      PoissonSolution<T> sol;
+      // The second solve reuses the plan's scratch and spectra.
+      for (int rep = 0; rep < 2; ++rep) {
+        solver.solve(rho, sol);
+        const std::string where = std::to_string(mx) + "x" +
+                                  std::to_string(my) + " at " +
+                                  std::to_string(threads) + " threads";
+        EXPECT_EQ(std::memcmp(sol.fieldX.data(), want.fieldX.data(), bytes), 0)
+            << "fieldX " << where;
+        EXPECT_EQ(std::memcmp(sol.fieldY.data(), want.fieldY.data(), bytes), 0)
+            << "fieldY " << where;
+        EXPECT_EQ(std::memcmp(&sol.energy, &want.energy, sizeof(double)), 0)
+            << "energy " << sol.energy << " vs " << want.energy << " "
+            << where;
+      }
+    }
+  }
+  ThreadPool::instance().setThreads(0);
+}
+
+TEST(PoissonBitsTest, SolveMatchesReferenceBitForBit) {
+  expectSolveMatchesReference<float>();
+  expectSolveMatchesReference<double>();
 }
 
 }  // namespace

@@ -112,6 +112,9 @@ TEST(EngineTest, OrderDependentCounterFilter) {
   EXPECT_TRUE(isOrderDependentCounter("parallel/narrowed"));
   EXPECT_TRUE(isOrderDependentCounter("parallel/inline/fft/rows"));
   EXPECT_FALSE(isOrderDependentCounter("parallel/jobs/fft/rows"));
+  // Per-label wall and busy time are clock readings.
+  EXPECT_TRUE(isOrderDependentCounter("parallel/wall_us/fft/rows"));
+  EXPECT_TRUE(isOrderDependentCounter("parallel/busy_us/fft/cols"));
   // Watchdog samples are wall-clock sampling.
   EXPECT_TRUE(isOrderDependentCounter("health/checks"));
   EXPECT_FALSE(isOrderDependentCounter("parallel/jobs"));

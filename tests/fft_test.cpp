@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <thread>
 
 #include "common/flow_context.h"
@@ -9,6 +10,7 @@
 #include "common/rng.h"
 #include "fft/fft.h"
 #include "fft/plan.h"
+#include "fft_reference.h"
 
 namespace dreamplace::fft {
 namespace {
@@ -213,6 +215,163 @@ TEST(FftPlanTest, OnePlanServesConcurrentCallers) {
   tb.join();
   EXPECT_EQ(maxError(ya, yb), 0.0);
   EXPECT_LT(maxError(ya, naiveDft(x, false)), 1e-9 * kSize);
+}
+
+// ---------------------------------------------------------------------------
+// Bit pinning: the batched kernel against single calls and against the
+// textbook radix-2 / Bluestein of tests/fft_reference.h, under memcmp.
+// ---------------------------------------------------------------------------
+
+/// The radix-2 sizes and the Bluestein sizes of FftSizeTest.
+constexpr int kPinnedSizes[] = {1, 2,  3,  4,   5,   7,   8,  12,
+                                16, 31, 32, 100, 128, 257, 512};
+
+template <typename T>
+std::vector<std::complex<T>> randomComplexT(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::complex<T>> x(n);
+  for (auto& v : x) {
+    v = {static_cast<T>(rng.uniform(-1, 1)), static_cast<T>(rng.uniform(-1, 1))};
+  }
+  return x;
+}
+
+template <typename T>
+bool sameBits(const std::complex<T>* a, const std::complex<T>* b,
+              std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(std::complex<T>)) == 0;
+}
+
+template <typename T>
+void expectBatchEqualsSingleCalls() {
+  for (const int n : kPinnedSizes) {
+    for (const bool inverse : {false, true}) {
+      const FftPlan<T> plan(n, inverse);
+      for (const int count : {1, 3, 8, 17}) {
+        // Tight interleaving, and a stride with unused slots between
+        // consecutive elements of a sequence.
+        for (const std::size_t stride :
+             {static_cast<std::size_t>(count),
+              static_cast<std::size_t>(count) + 5}) {
+          auto batch = randomComplexT<T>(n * stride, 31 * n + count);
+          const auto input = batch;
+          std::vector<std::complex<T>> scratch(plan.scratchSize() * count + 1);
+          plan.execute(batch.data(), count, stride, scratch.data());
+          std::vector<std::complex<T>> one(n), single_scratch(
+                                                   plan.scratchSize() + 1);
+          for (int c = 0; c < count; ++c) {
+            std::vector<std::complex<T>> got(n);
+            for (int t = 0; t < n; ++t) {
+              one[t] = input[t * stride + c];
+              got[t] = batch[t * stride + c];
+            }
+            plan.execute(one.data(), single_scratch.data());
+            EXPECT_TRUE(sameBits(one.data(), got.data(), n))
+                << "n=" << n << " inverse=" << inverse << " count=" << count
+                << " stride=" << stride << " sequence " << c;
+          }
+          for (int t = 0; t < n; ++t) {
+            for (std::size_t c = count; c < stride; ++c) {
+              EXPECT_TRUE(sameBits(&batch[t * stride + c],
+                                   &input[t * stride + c], 1))
+                  << "slot outside the batch was written, n=" << n;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FftPlanBitsTest, BatchEqualsSingleCallsBitForBit) {
+  expectBatchEqualsSingleCalls<float>();
+  expectBatchEqualsSingleCalls<double>();
+}
+
+template <typename T>
+void expectSingleCallEqualsReference() {
+  for (const int n : kPinnedSizes) {
+    for (const bool inverse : {false, true}) {
+      const FftPlan<T> plan(n, inverse);
+      auto x = randomComplexT<T>(n, 7 * n + inverse);
+      auto ref = x;
+      std::vector<std::complex<T>> scratch(plan.scratchSize() + 1);
+      plan.execute(x.data(), scratch.data());
+      reference::Fft<T>(n, inverse).run(ref.data());
+      EXPECT_TRUE(sameBits(x.data(), ref.data(), n))
+          << "n=" << n << " inverse=" << inverse;
+    }
+  }
+}
+
+TEST(FftPlanBitsTest, SingleCallEqualsTextbookFftBitForBit) {
+  expectSingleCallEqualsReference<float>();
+  expectSingleCallEqualsReference<double>();
+}
+
+template <typename T>
+void expectRfftEqualsReference() {
+  // Even sizes whose half is radix-2 (8, 64, 512) or Bluestein (10, 24,
+  // 200).
+  for (const int n : {2, 8, 10, 24, 64, 200, 512}) {
+    const int h = n / 2;
+    const RfftPlan<T> fwd(n, false);
+    const RfftPlan<T> inv(n, true);
+    constexpr int kRows = 9;
+    std::vector<T> rows(static_cast<std::size_t>(kRows) * n);
+    Rng rng(n);
+    for (T& v : rows) v = static_cast<T>(rng.uniform(-1, 1));
+
+    // Single calls against the reference, row by row.
+    std::vector<std::complex<T>> spec(static_cast<std::size_t>(kRows) * (h + 1));
+    std::vector<std::complex<T>> scratch(
+        std::max(fwd.scratchSize(), inv.scratchSize()) + 1);
+    for (int r = 0; r < kRows; ++r) {
+      std::complex<T>* out = spec.data() + r * (h + 1);
+      fwd.forward(rows.data() + r * n, out, scratch.data());
+      std::vector<std::complex<T>> ref(h + 1);
+      reference::rfft(n, rows.data() + r * n, ref.data());
+      EXPECT_TRUE(sameBits(out, ref.data(), h + 1)) << "rfft n=" << n;
+      std::vector<T> back(n), ref_back(n);
+      inv.inverse(out, back.data(), scratch.data());
+      reference::irfft(n, out, ref_back.data());
+      EXPECT_EQ(std::memcmp(back.data(), ref_back.data(), n * sizeof(T)), 0)
+          << "irfft n=" << n;
+    }
+
+    // The packed batch of all rows against the single calls.
+    std::vector<std::complex<T>> z(static_cast<std::size_t>(h) * kRows);
+    for (int r = 0; r < kRows; ++r) {
+      for (int m = 0; m < h; ++m) {
+        z[m * kRows + r] = {rows[r * n + 2 * m], rows[r * n + 2 * m + 1]};
+      }
+    }
+    std::vector<std::complex<T>> packed_spec(spec.size());
+    std::vector<std::complex<T>> batch_scratch(fwd.halfScratchSize() * kRows +
+                                               1);
+    fwd.forwardPacked(z.data(), kRows, packed_spec.data(), h + 1,
+                      batch_scratch.data());
+    EXPECT_TRUE(sameBits(packed_spec.data(), spec.data(), spec.size()))
+        << "forwardPacked n=" << n;
+    const std::complex<T>* row_ptrs[kRows];
+    for (int r = 0; r < kRows; ++r) row_ptrs[r] = spec.data() + r * (h + 1);
+    inv.inversePacked(row_ptrs, kRows, z.data(), batch_scratch.data());
+    for (int r = 0; r < kRows; ++r) {
+      std::vector<T> back(n), packed(n);
+      inv.inverse(row_ptrs[r], back.data(), scratch.data());
+      for (int m = 0; m < h; ++m) {
+        packed[2 * m] = z[m * kRows + r].real();
+        packed[2 * m + 1] = z[m * kRows + r].imag();
+      }
+      EXPECT_EQ(std::memcmp(back.data(), packed.data(), n * sizeof(T)), 0)
+          << "inversePacked n=" << n << " row " << r;
+    }
+  }
+}
+
+TEST(RfftPlanBitsTest, SingleAndPackedEqualReferenceBitForBit) {
+  expectRfftEqualsReference<float>();
+  expectRfftEqualsReference<double>();
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <limits>
+#include <stdexcept>
 
 #include "db/metrics.h"
 #include "gen/netlist_generator.h"
@@ -28,6 +30,71 @@ PlacerOptions fastFlow() {
   options.gp.binsMax = 64;
   options.dp.passes = 2;
   return options;
+}
+
+/// A copy of the finalized `src` in which cell i is width(i) wide.
+std::unique_ptr<Database> withWidths(const Database& src,
+                                     const std::function<Coord(Index)>& width) {
+  auto db = std::make_unique<Database>();
+  db->setName(src.name());
+  db->setDieArea(src.dieArea());
+  for (const Row& row : src.rows()) db->addRow(row);
+  for (Index i = 0; i < src.numCells(); ++i) {
+    db->addCell(src.cellName(i), width(i), src.cellHeight(i),
+                src.isMovable(i));
+    db->setCellPosition(i, src.cellX(i), src.cellY(i));
+  }
+  for (Index n = 0; n < src.numNets(); ++n) {
+    db->addNet(src.netName(n), src.netWeight(n));
+    for (Index p = src.netPinBegin(n); p < src.netPinEnd(n); ++p) {
+      db->addPin(n, src.pinCell(p), src.pinOffsetX(p), src.pinOffsetY(p));
+    }
+  }
+  db->finalize();
+  return db;
+}
+
+/// The placeDesign error for `db`, or "" when it does not throw
+/// std::invalid_argument.
+std::string placeError(Database& db) {
+  try {
+    placeDesign(db, fastFlow());
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FeasibilityTest, MovableAreaBeyondFreeRowAreaThrowsNamingTheDesign) {
+  // The generated design fits; with every movable cell twice as wide its
+  // cells need about 1.4x the free row area.
+  const auto db = flowDesign(7, 600, 2);
+  EXPECT_NO_THROW(checkPlaceable(*db));
+  auto overfull = withWidths(*db, [&](Index i) {
+    return db->cellWidth(i) * (db->isMovable(i) ? 2 : 1);
+  });
+  const std::string error = placeError(*overfull);
+  EXPECT_NE(error.find("design 'synthetic'"), std::string::npos) << error;
+  EXPECT_NE(error.find("movable standard-cell area"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("exceeds the free row area"), std::string::npos)
+      << error;
+  EXPECT_EQ(error.find('\n'), std::string::npos) << error;
+}
+
+TEST(FeasibilityTest, CellWiderThanEveryRowThrowsNamingTheCell) {
+  const auto db = flowDesign(7, 600, 2);
+  const Coord die_width = db->dieArea().xh - db->dieArea().xl;
+  auto wide = withWidths(*db, [&](Index i) {
+    return i == 3 ? die_width + 10 : db->cellWidth(i);
+  });
+  const std::string error = placeError(*wide);
+  EXPECT_NE(error.find("design 'synthetic'"), std::string::npos) << error;
+  EXPECT_NE(error.find("movable cell '" + db->cellName(3) + "'"),
+            std::string::npos)
+      << error;
+  EXPECT_NE(error.find("wider than every row"), std::string::npos) << error;
+  EXPECT_EQ(error.find('\n'), std::string::npos) << error;
 }
 
 class PrecisionFlowTest : public ::testing::TestWithParam<Precision> {};

@@ -223,6 +223,36 @@ TEST(ThreadPoolTest, CountsJobsAndInlineRunsPerLabel) {
   EXPECT_EQ(registry.value("parallel/jobs"), 8);
 }
 
+TEST(ThreadPoolTest, RecordsWallAndBusyTimePerLabel) {
+  // Eight 1 ms tasks on two threads: the job's wall time covers at least
+  // four of them, its busy time (summed over the participants) all eight
+  // and at most two participants for the whole wall time. An inline job
+  // is busy for exactly its wall time.
+  FlowContext context;
+  FlowContextScope flow_scope(context);
+  auto& registry = context.counters();
+  const auto sleepy = [](Index) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  {
+    ScopedThreads scope(2);
+    parallelFor("test/timed_pooled", 8, 1, sleepy);
+  }
+  const auto wall = registry.value("parallel/wall_us/test/timed_pooled");
+  const auto busy = registry.value("parallel/busy_us/test/timed_pooled");
+  EXPECT_GE(wall, 4000);
+  EXPECT_GE(busy, 8000);
+  EXPECT_LE(busy, 2 * wall + 2);
+  {
+    ScopedThreads scope(1);
+    parallelFor("test/timed_inline", 3, 1, sleepy);
+  }
+  EXPECT_GE(registry.value("parallel/wall_us/test/timed_inline"), 3000);
+  EXPECT_EQ(registry.value("parallel/busy_us/test/timed_inline"),
+            registry.value("parallel/wall_us/test/timed_inline"));
+  EXPECT_EQ(registry.value("parallel/jobs/test/timed_pooled"), 1);
+}
+
 /// Runs one 64-task job on the current flow's pool and returns the
 /// distinct worker indices that executed its tasks. Each task sleeps
 /// briefly so that every worker allowed to join has time to.
